@@ -23,6 +23,7 @@ failures (NotPolynomial, RhoInConeSpan, ...).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass
 
@@ -30,12 +31,13 @@ from .cone_series import lattice_points
 from .datumfile import parse_datum
 from .errors import BadParameters, FormatError, MathError, NotAntidominant
 from .li_oracle import li_datum, li_equivalence_check
-from .qlaurent import QLaurent
+from .qlaurent import ONE, QLaurent
 from .rep_chars import lowest_weight_rep, weyl_denominator
-from .root_weyl import antidominant_weights, is_antidominant, pair, vadd
+from .root_weyl import antidominant_weights, is_antidominant, pair
 from .spherical import (
     SphericalDatum,
     basic_asymptotics,
+    gr_mul_binomial,
     inverse_satake_lfun,
     macdonald_p,
     pairing,
@@ -187,17 +189,9 @@ def _suite_li(cfg: JobConfig) -> tuple[bool, list[str]]:
 def _suite_denominator(cfg: JobConfig) -> tuple[bool, list[str]]:
     rd = cfg.datum.dual_datum()
     lhs = weyl_denominator(rd)
-    rhs = {(0,) * rd.rank: QLaurent({0: 1})}
+    rhs = {(0,) * rd.rank: ONE}
     for g in rd.positive_coroots():
-        new = dict(rhs)
-        for k, c in rhs.items():
-            key = vadd(k, g)
-            val = new.get(key, QLaurent()) - c
-            if val.is_zero():
-                new.pop(key, None)
-            else:
-                new[key] = val
-        rhs = new
+        rhs = gr_mul_binomial(rhs, ONE, g)
     ok = lhs == rhs
     lines = [
         "denominator: alternating sum "
@@ -325,9 +319,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_weights(argv: list[str]) -> list[str]:
+    """Glue `--lowest-weight -1,0` into `--lowest-weight=-1,0`.
+
+    argparse reads a value that starts with a dash and is not a plain
+    number as the next option, so a negative lowest weight would be
+    rejected as a missing argument.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--lowest-weight" and re.match(r"-\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_weights(sys.argv[1:] if argv is None else argv))
     try:
         cfg = _config(args)
         if args.command == "inverse-satake":
@@ -339,12 +349,9 @@ def main(argv=None) -> int:
         if args.command == "char":
             return cmd_char(cfg)
         return cmd_verify(args.suite, cfg)
-    except NotAntidominant as exc:
+    except (NotAntidominant, FormatError) as exc:
         # a lowest weight that fails the antidominance invariant is a
         # configuration error, not a math-layer failure
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MathError as exc:

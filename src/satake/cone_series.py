@@ -15,6 +15,7 @@ degree N.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -34,7 +35,6 @@ from .root_weyl import Vec, intify, pair, vadd, vsub
 __all__ = [
     "ConeSpec",
     "ConeSeries",
-    "cone_witness",
     "make_spec",
     "series_mul",
     "geometric_inverse",
@@ -43,24 +43,6 @@ __all__ = [
     "series_equal",
     "lattice_points",
 ]
-
-
-def cone_witness(generators, rank: int | None = None) -> tuple[int, ...]:
-    """An integer functional with value >= 1 on every generator.
-
-    Any valid witness is accepted downstream; this one comes from exact
-    Fourier-Motzkin elimination and is deterministic in the generator
-    order.  Raises NotStrictlyConvex when the cone contains a line.
-    """
-    gens = [intify(g) for g in generators]
-    if rank is None:
-        if not gens:
-            raise BadParameters("rank required for an empty generator list")
-        rank = len(gens[0])
-    return find_witness(gens, rank)
-
-
-_FACET_CACHE: dict[tuple[Vec, ...], tuple[tuple[int, ...], ...]] = {}
 
 
 @dataclass(frozen=True)
@@ -86,11 +68,7 @@ class ConeSpec:
         return len(self.base_point)
 
     def facets(self) -> tuple[tuple[int, ...], ...]:
-        got = _FACET_CACHE.get(self.generators)
-        if got is None:
-            got = cone_facets(self.generators, self.rank)
-            _FACET_CACHE[self.generators] = got
-        return got
+        return _facets(self.generators, self.rank)
 
     def contains(self, v) -> bool:
         """Membership of v in the cone itself (not the translate)."""
@@ -100,8 +78,19 @@ class ConeSpec:
         return pair(self.witness, vsub(key, self.base_point))
 
 
+@functools.cache
+def _facets(generators: tuple[Vec, ...], rank: int) -> tuple[tuple[int, ...], ...]:
+    return cone_facets(generators, rank)
+
+
 def make_spec(generators, rank: int | None = None, base_point=None) -> ConeSpec:
-    """Build a ConeSpec, deriving the witness from the generators."""
+    """Build a ConeSpec, deriving the witness from the generators.
+
+    The witness is an integer functional with value >= 1 on every
+    generator, found by exact Fourier-Motzkin elimination and
+    deterministic in the generator order.  Raises NotStrictlyConvex
+    when the cone contains a line.
+    """
     gens = tuple(intify(g) for g in generators)
     if rank is None:
         if not gens:
@@ -109,7 +98,7 @@ def make_spec(generators, rank: int | None = None, base_point=None) -> ConeSpec:
         rank = len(gens[0])
     if base_point is None:
         base_point = (0,) * rank
-    return ConeSpec(gens, cone_witness(gens, rank), intify(base_point))
+    return ConeSpec(gens, find_witness(gens, rank), intify(base_point))
 
 
 class ConeSeries:

@@ -16,13 +16,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cone_series import expand_product, lattice_points, series_mul
+from .cone_series import lattice_points
 from .errors import BadParameters, RhoInConeSpan
 from .linalg import find_witness, functional_with_values, in_rational_span
-from .qlaurent import ONE, QLaurent, qmonomial
+from .qlaurent import QLaurent, qmonomial
 from .rep_chars import lowest_weight_rep
 from .root_weyl import Vec, WeylGroup, intify, mat_apply, pair, vneg, vsub
-from .spherical import SphericalDatum, extended_cone_spec, l_series
+from .spherical import SphericalDatum, _lfun_series, extended_cone_spec
 
 __all__ = [
     "LiDatum",
@@ -72,23 +72,14 @@ def li_datum(datum: SphericalDatum, rho) -> LiDatum:
         psi[nu] = psi.get(nu, 0) + m
     members = tuple(sorted(psi))
     witness = find_witness(members, datum.rank)
-    rho_b = tuple(x / 2 for x in _vector_sum(coroots, datum.rank))
     return LiDatum(
         rank=datum.rank,
         psi=tuple((v, psi[v]) for v in members),
         det_functional=det,
-        rho_b=rho_b,
+        rho_b=datum.dual_datum().rho_check(),
         weyl=datum.weyl(),
         psi_witness=witness,
     )
-
-
-def _vector_sum(vectors, rank: int) -> tuple[Fraction, ...]:
-    acc = [Fraction(0)] * rank
-    for v in vectors:
-        for i, x in enumerate(v):
-            acc[i] += x
-    return tuple(acc)
 
 
 def li_partition(d: LiDatum, mu) -> QLaurent:
@@ -183,16 +174,9 @@ def li_equivalence_check(d: LiDatum, datum: SphericalDatum, rho, bound: int) -> 
     most `bound` is checked; both sides vanish off that cone, so the
     sweep covers the full truncated series.
     """
-    rho = intify(rho)
-    spec = extended_cone_spec(datum, rho)
-    weights = lowest_weight_rep(datum.dual_datum(), rho)
-    lser = l_series(datum, weights, rho, bound)
-    numer = [(ONE, g) for g in datum.positive_coroots()]
-    denom = [(s * qmonomial(-r), t) for t, s, r in datum.theta_plus]
-    basic = expand_product(numer, denom, spec, bound)
-    product = series_mul(lser, basic)
+    product = _lfun_series(datum, rho, bound)
     checked = 0
-    for mu in lattice_points(spec, bound):
+    for mu in lattice_points(extended_cone_spec(datum, rho), bound):
         expected = product.coefficient(mu)
         got = li_coefficient(d, mu)
         checked += 1

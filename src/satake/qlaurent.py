@@ -20,10 +20,6 @@ from .errors import FormatError
 __all__ = [
     "QLaurent",
     "qmonomial",
-    "qadd",
-    "qmul",
-    "qneg",
-    "qinvert_q",
     "parse_qlaurent",
     "ZERO",
     "ONE",
@@ -212,22 +208,6 @@ def qmonomial(exponent) -> QLaurent:
     if e.denominator not in (1, 2):
         raise ValueError(f"exponent must be a half-integer, got {e}")
     return QLaurent({int(2 * e): 1})
-
-
-def qadd(a: QLaurent, b: QLaurent) -> QLaurent:
-    return a + b
-
-
-def qmul(a: QLaurent, b: QLaurent) -> QLaurent:
-    return a * b
-
-
-def qneg(a: QLaurent) -> QLaurent:
-    return -a
-
-
-def qinvert_q(a: QLaurent) -> QLaurent:
-    return a.invert_q()
 
 
 def parse_qlaurent(text: str) -> QLaurent:

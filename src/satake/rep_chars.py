@@ -11,6 +11,7 @@ dimension product formula.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -33,14 +34,9 @@ __all__ = ["lowest_weight_rep", "weyl_denominator", "weyl_dimension"]
 WeightMultiset = dict[Vec, int]
 
 
-_FORM_CACHE: dict[RootDatum, tuple[tuple[Fraction, ...], ...]] = {}
-
-
+@functools.cache
 def _invariant_form(datum: RootDatum) -> tuple[tuple[Fraction, ...], ...]:
     """A Weyl-invariant positive form: the group average of the dot product."""
-    got = _FORM_CACHE.get(datum)
-    if got is not None:
-        return got
     n = datum.rank
     weyl = weyl_of(datum)
     gram = [[Fraction(0)] * n for _ in range(n)]
@@ -48,9 +44,7 @@ def _invariant_form(datum: RootDatum) -> tuple[tuple[Fraction, ...], ...]:
         for i in range(n):
             for j in range(n):
                 gram[i][j] += sum(Fraction(m[k][i]) * m[k][j] for k in range(n))
-    got = tuple(tuple(row) for row in gram)
-    _FORM_CACHE[datum] = got
-    return got
+    return tuple(tuple(row) for row in gram)
 
 
 def _bform(gram, u, v) -> Fraction:

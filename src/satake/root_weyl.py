@@ -11,6 +11,7 @@ lexicographically by matrix entries.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -160,17 +161,6 @@ def is_antidominant(v, positive_roots) -> bool:
     return all(pair(alpha, v) <= 0 for alpha in positive_roots)
 
 
-def half_sum_positive_coroots(coroots) -> tuple[Fraction, ...]:
-    """Half the sum of the given coroot vectors (entries may be halves)."""
-    if not coroots:
-        return ()
-    acc = [Fraction(0)] * len(coroots[0])
-    for c in coroots:
-        for i, x in enumerate(c):
-            acc[i] += x
-    return tuple(x / 2 for x in acc)
-
-
 @dataclass(frozen=True)
 class RootDatum:
     """A full positive system of (root, coroot) pairs on a lattice.
@@ -210,17 +200,12 @@ class RootDatum:
         return tuple(out)
 
     def rho_check(self) -> tuple[Fraction, ...]:
-        return half_sum_positive_coroots(self.positive_coroots())
+        """Half the sum of the positive coroots (entries may be halves)."""
+        return _half_sum(self.positive_coroots(), self.rank)
 
     def rho_roots(self) -> tuple[Fraction, ...]:
         """Half the sum of the positive root functionals."""
-        if not self.positive:
-            return tuple(Fraction(0) for _ in range(self.rank))
-        acc = [Fraction(0)] * self.rank
-        for d in self.positive:
-            for i, x in enumerate(d.root):
-                acc[i] += x
-        return tuple(x / 2 for x in acc)
+        return _half_sum(self.positive_roots(), self.rank)
 
     def height_functional(self) -> tuple[Fraction, ...]:
         """A functional taking value 1 on every simple coroot."""
@@ -228,19 +213,20 @@ class RootDatum:
         return functional_with_values(simples, [1] * len(simples), self.rank)
 
 
-_WEYL_CACHE: dict[RootDatum, WeylGroup] = {}
+def _half_sum(vectors, rank: int) -> tuple[Fraction, ...]:
+    return tuple(sum((Fraction(v[i]) for v in vectors), Fraction(0)) / 2 for i in range(rank))
 
 
 def weyl_of(datum: RootDatum, cap: int = WEYL_CAP) -> WeylGroup:
     """The Weyl group of the datum, enumerated over simple reflections."""
-    got = _WEYL_CACHE.get(datum)
-    if got is None:
-        if datum.positive:
-            got = enumerate_weyl(datum.simples(), cap)
-        else:
-            got = WeylGroup((identity_matrix(datum.rank),), (0,))
-        _WEYL_CACHE[datum] = got
-    return got
+    return _weyl_group(datum, cap)
+
+
+@functools.cache
+def _weyl_group(datum: RootDatum, cap: int) -> WeylGroup:
+    if not datum.positive:
+        return WeylGroup((identity_matrix(datum.rank),), (0,))
+    return enumerate_weyl(datum.simples(), cap)
 
 
 def dominant_image(datum: RootDatum, v):

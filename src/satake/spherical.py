@@ -19,14 +19,15 @@ On top of the datum this module provides:
   product with the basic asymptotics, and the resulting table of
   normalized Hecke values q^<rho_px, lambda> times the coefficient.
 * `pairing`: the constant-term inner product under which the family
-  P_lambda is orthogonal, computed through the one-sided kernel of
-  `_pairing_kernel` so that every query is a finite exact sum.
+  P_lambda is orthogonal, computed against the basic asymptotics read
+  at negated keys so that every query is a finite exact sum.
 
 Everything is exact and deterministic; no floats anywhere.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -133,18 +134,16 @@ class SphericalDatum:
         return tuple(d.coroot for d in self.positive)
 
     def cone_spec(self) -> ConeSpec:
-        got = _SPEC_CACHE.get(self)
-        if got is None:
-            try:
-                witness = find_witness(self.cone_cx, self.rank)
-            except NotStrictlyConvex as exc:
-                raise DatumInvariantError(f"cone_cx is not strictly convex: {exc}") from exc
-            got = ConeSpec(self.cone_cx, witness, (0,) * self.rank)
-            _SPEC_CACHE[self] = got
-        return got
+        return _cone_spec(self)
 
 
-_SPEC_CACHE: dict[SphericalDatum, ConeSpec] = {}
+@functools.cache
+def _cone_spec(datum: SphericalDatum) -> ConeSpec:
+    try:
+        witness = find_witness(datum.cone_cx, datum.rank)
+    except NotStrictlyConvex as exc:
+        raise DatumInvariantError(f"cone_cx is not strictly convex: {exc}") from exc
+    return ConeSpec(datum.cone_cx, witness, (0,) * datum.rank)
 
 
 # -- presets ----------------------------------------------------------
@@ -226,14 +225,6 @@ def gr_add_term(acc: GroupRing, key: Vec, coeff: QLaurent) -> None:
         acc[key] = s
 
 
-def gr_mul(a: GroupRing, b: GroupRing) -> GroupRing:
-    out: GroupRing = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            gr_add_term(out, vadd(ka, kb), ca * cb)
-    return out
-
-
 def gr_mul_binomial(a: GroupRing, coeff: QLaurent, direction: Vec) -> GroupRing:
     """Multiply by (1 - coeff * e^direction)."""
     out: GroupRing = dict(a)
@@ -256,13 +247,6 @@ class SymmetricPolynomial:
 
     def coefficient(self, key) -> QLaurent:
         return self.terms.get(intify(key), QLaurent())
-
-    def is_invariant(self, datum: SphericalDatum) -> bool:
-        for mat, _ in datum.weyl():
-            for k, c in self.terms.items():
-                if self.terms.get(intify(mat_apply(mat, k)), QLaurent()) != c:
-                    return False
-        return True
 
     def serialize(self) -> str:
         lines = []
@@ -349,7 +333,10 @@ def _exact_divide(numer: GroupRing, denom: GroupRing, pos: tuple[Vec, ...], witn
 
 def basic_asymptotics(datum: SphericalDatum, bound: int) -> ConeSeries:
     """Expansion of prod(1 - e^gamma) / prod(1 - sigma q^-r e^theta)."""
-    spec = datum.cone_spec()
+    return _basic_series(datum, datum.cone_spec(), bound)
+
+
+def _basic_series(datum: SphericalDatum, spec: ConeSpec, bound: int) -> ConeSeries:
     numer = [(ONE, g) for g in datum.positive_coroots()]
     denom = [(s * qmonomial(-r), t) for t, s, r in datum.theta_plus]
     return expand_product(numer, denom, spec, bound)
@@ -364,16 +351,13 @@ def extended_cone_spec(datum: SphericalDatum, rho) -> ConeSpec:
     rho = intify(rho)
     if in_rational_span(datum.cone_cx, rho):
         raise RhoInConeSpan(f"{rho} lies in the rational span of cone_cx")
-    gens = tuple(datum.cone_cx) + (rho,)
-    key = (datum, rho)
-    got = _EXT_SPEC_CACHE.get(key)
-    if got is None:
-        got = ConeSpec(gens, find_witness(gens, datum.rank), (0,) * datum.rank)
-        _EXT_SPEC_CACHE[key] = got
-    return got
+    return _extended_cone_spec(datum, rho)
 
 
-_EXT_SPEC_CACHE: dict[tuple[SphericalDatum, Vec], ConeSpec] = {}
+@functools.cache
+def _extended_cone_spec(datum: SphericalDatum, rho: Vec) -> ConeSpec:
+    gens = datum.cone_cx + (rho,)
+    return ConeSpec(gens, find_witness(gens, datum.rank), (0,) * datum.rank)
 
 
 def l_series(datum: SphericalDatum, rep_weights: WeightMultiset, rho, bound: int) -> ConeSeries:
@@ -421,14 +405,7 @@ def inverse_satake_lfun(datum: SphericalDatum, rho, bound: int) -> HeckeValueTab
     rho by the basic asymptotics, restricts to antidominant support,
     and normalizes each coefficient by q^<rho_px, lambda>.
     """
-    rho = intify(rho)
-    spec = extended_cone_spec(datum, rho)
-    weights = lowest_weight_rep(datum.dual_datum(), rho)
-    lser = l_series(datum, weights, rho, bound)
-    numer = [(ONE, g) for g in datum.positive_coroots()]
-    denom = [(s * qmonomial(-r), t) for t, s, r in datum.theta_plus]
-    basic = expand_product(numer, denom, spec, bound)
-    product = series_mul(lser, basic)
+    product = _lfun_series(datum, rho, bound)
     restricted = restrict_antidominant(product, datum.positive_roots())
     rows = []
     for k in restricted.support():
@@ -438,69 +415,33 @@ def inverse_satake_lfun(datum: SphericalDatum, rho, bound: int) -> HeckeValueTab
     return HeckeValueTable(tuple(rows), bound)
 
 
+def _lfun_series(datum: SphericalDatum, rho, bound: int) -> ConeSeries:
+    """The L-series of L(rho) times the basic asymptotics, on the extended cone.
+
+    The span check of `extended_cone_spec` (RhoInConeSpan) runs before
+    the antidominance check of `lowest_weight_rep` (NotAntidominant).
+    """
+    rho = intify(rho)
+    spec = extended_cone_spec(datum, rho)
+    weights = lowest_weight_rep(datum.dual_datum(), rho)
+    return series_mul(l_series(datum, weights, rho, bound), _basic_series(datum, spec, bound))
+
+
 # -- the orthogonality pairing -----------------------------------------
 
 
-_KERNEL_CACHE: dict[SphericalDatum, tuple[int, dict]] = {}
+_KERNEL_CACHE: dict[SphericalDatum, ConeSeries] = {}
 
 
-def _pairing_kernel(datum: SphericalDatum, depth: int) -> dict:
-    """One-sided expansion of the pairing weight.
+def _pairing_kernel(datum: SphericalDatum, depth: int) -> ConeSeries:
+    """The basic asymptotics through at least `depth`, grown only on demand.
 
-    The full weight is the product over both signs of every root and
-    color factor; it is Weyl invariant, so after symmetrizing, the
-    constant term of anything invariant against it equals the order of
-    the Weyl group times the constant term against the one-sided kernel
-
-        prod_{gamma > 0} (1 - e^{-gamma})
-            / prod_{theta} (1 - sigma q^{-r} e^{-theta}),
-
-    up to the overall scalar P_0 which cancels in every ratio and every
-    vanishing statement.  On this side each geometric ratio
-    sigma q^{-r} e^{-theta} is a genuine series expansion, and strict
-    convexity means each lattice point receives finitely many
-    contributions, so coefficients are exact Laurent polynomials.
+    Eight degrees of headroom let nearby queries reuse the cached series.
     """
-    cached = _KERNEL_CACHE.get(datum)
-    if cached is not None and cached[0] >= depth:
-        return cached[1]
-    depth = depth + 8  # headroom so nearby queries reuse the cache
-    witness = datum.cone_spec().witness
-    zero = (0,) * datum.rank
-    terms: dict = {zero: ONE}
-    for g in sorted(datum.positive_coroots()):
-        new = dict(terms)
-        for k, c in terms.items():
-            shifted = vsub(k, g)
-            if -pair(witness, shifted) > depth:
-                continue
-            prev = new.get(shifted)
-            val = (prev - c) if prev is not None else -c
-            if val.is_zero():
-                new.pop(shifted, None)
-            else:
-                new[shifted] = val
-        terms = new
-    for t, s, r in datum.theta_plus:
-        ratio = s * qmonomial(-r)
-        step = int(pair(witness, t))
-        new: dict = {}
-        for k, c in terms.items():
-            used = -int(pair(witness, k))
-            shifted = k
-            while used <= depth:
-                prev = new.get(shifted)
-                val = (prev + c) if prev is not None else c
-                if val.is_zero():
-                    new.pop(shifted, None)
-                else:
-                    new[shifted] = val
-                shifted = vsub(shifted, t)
-                used += step
-                c = c * ratio
-        terms = new
-    _KERNEL_CACHE[datum] = (depth, terms)
-    return terms
+    kernel = _KERNEL_CACHE.get(datum)
+    if kernel is None or kernel.bound < depth:
+        kernel = _KERNEL_CACHE[datum] = basic_asymptotics(datum, depth + 8)
+    return kernel
 
 
 def _poly_terms(p, rank: int) -> GroupRing:
@@ -528,14 +469,23 @@ def pairing(p, q, datum: SphericalDatum) -> QLaurent:
 
     Computes the constant term of p * conj(q) * weight, where conj
     negates exponents and the weight carries both signs of every root
-    and color factor.  Both arguments are taken Weyl invariant, which
-    lets the weight collapse to the one-sided kernel of
-    `_pairing_kernel`; the expansion depth follows from the supports
-    and the witness, so the value is exact and does not change under
-    any further depth increase.  Normalization: the collapse leaves the
-    factor |W_X| in place, and the overall scalar P_0 is dropped; the
-    orthogonality statements and coefficient ratios that the pairing
-    exists to certify are insensitive to both choices.
+    and color factor.  That weight is Weyl invariant and both arguments
+    are taken Weyl invariant, so after symmetrizing, the constant term
+    equals |W| times the constant term against the one-sided kernel
+
+        prod_{gamma > 0} (1 - e^{-gamma})
+            / prod_{theta} (1 - sigma q^{-r} e^{-theta}),
+
+    up to the overall scalar P_0, which cancels in every ratio and
+    every vanishing statement.  The kernel is the basic asymptotics
+    with every exponent negated: on that side each geometric ratio is a
+    genuine series expansion, and strict convexity leaves finitely many
+    contributions at each lattice point, so coefficients are exact.
+    The expansion depth follows from the supports and the witness, so
+    the value does not change under any further depth increase.
+    Normalization: the factor |W| stays in place and P_0 is dropped;
+    the orthogonality statements and coefficient ratios that the
+    pairing exists to certify are insensitive to both choices.
     """
     rank = datum.rank
     tp = _poly_terms(p, rank)
@@ -552,7 +502,7 @@ def pairing(p, q, datum: SphericalDatum) -> QLaurent:
     total = QLaurent()
     for k1, c1 in tp.items():
         for k2, c2 in tq.items():
-            kv = kernel.get(vsub(k2, k1))
+            kv = kernel.get(vsub(k1, k2))
             if kv is not None:
                 total = total + c1 * c2 * kv
     return len(datum.weyl().elements) * total

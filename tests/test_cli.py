@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from satake.cli import main
@@ -246,3 +248,147 @@ def test_stdout_runs_are_byte_identical(capsys):
     second = capsys.readouterr().out
     assert code1 == code2 == 0
     assert first == second
+
+
+# -- golden output ----------------------------------------------------------
+
+# sha256 of stdout and the exit status for every subcommand, every verify
+# suite and both formats, recorded before the spherical and L-factor
+# pipelines were consolidated; any byte that moves fails here.
+GOLDEN_WEIGHTS = {
+    "group:gl2": "0,1",
+    "group:gl3": "0,0,1",
+    "group:b2": "-1,0",
+    "whittaker:gl3": "0,0,1",
+    "sp2n_gl2n:2": "0,1",
+}
+
+GOLDEN = {
+    "group:gl2": {
+        ("inverse-satake", "tsv"): (0, "5f94026c8fb57002e2644e970cf0460d9bb1c4823c37c02616790fa6ffd76e78"),
+        ("inverse-satake", "records"): (0, "7b3b89c34c182ebc145a84bad03b8d8fb6e7a887a7a56b1c44f9d7406767d652"),
+        ("basic", "tsv"): (0, "2c9db2b4fccb7c98894779246cf540b115b39215e7b9ab350887b70c72638847"),
+        ("basic", "records"): (0, "dc98ad1ba26a90703319846bd38dadf8ef42704416fcec6222948c9f27c9a0fb"),
+        ("macdonald", "tsv"): (0, "02b69566136f4daa38fa01927b18aa0492c95abffedeb2909376483702a58b6c"),
+        ("macdonald", "records"): (0, "2eafe8f60f95646696e66bbc8b98dc18cd6fac53bbf2010787aa7fe93b51a33d"),
+        ("char", "tsv"): (0, "02b69566136f4daa38fa01927b18aa0492c95abffedeb2909376483702a58b6c"),
+        ("char", "records"): (0, "3c1d10a5f64b1c364ed48cf3b19f0fe30795a8a7b7431c1a1a05b407d560fc98"),
+        ("verify --suite basic-pairing", "tsv"): (0, "a45ee23f33dae735a7e270e6f6baa1f0c7e3eb83dea3d5eb5e7774dd751c149c"),
+        ("verify --suite basic-pairing", "records"): (0, "a45ee23f33dae735a7e270e6f6baa1f0c7e3eb83dea3d5eb5e7774dd751c149c"),
+        ("verify --suite denominator", "tsv"): (0, "668282b3b91e84dfc96102ba10d6786fcacc5f163bbb0023bc32f39c763d4e8b"),
+        ("verify --suite denominator", "records"): (0, "668282b3b91e84dfc96102ba10d6786fcacc5f163bbb0023bc32f39c763d4e8b"),
+        ("verify --suite orthogonality", "tsv"): (0, "515eace7a648f182c0dcbeed743ca5fc17b626cd91fd017cf788b7b05f260e9e"),
+        ("verify --suite orthogonality", "records"): (0, "515eace7a648f182c0dcbeed743ca5fc17b626cd91fd017cf788b7b05f260e9e"),
+        ("verify --suite whittaker-schur", "tsv"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("verify --suite whittaker-schur", "records"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("verify --suite li --truncate 6", "tsv"): (0, "cae4a82ef17ae62e42d6b8af19972cc243de2cca4151aff8222c195e524d3581"),
+        ("verify --suite li --truncate 6", "records"): (0, "cae4a82ef17ae62e42d6b8af19972cc243de2cca4151aff8222c195e524d3581"),
+    },
+    "group:gl3": {
+        ("inverse-satake", "tsv"): (0, "495efdaeef3de325029b2feff2be580eca02217f5e67b59701908e691ea45e9d"),
+        ("inverse-satake", "records"): (0, "cd231d1bc89eab4887d5fbaddcef9beec35b7cadff29b20fb4100c928e406fc0"),
+        ("basic", "tsv"): (0, "d833f75dc7cee63ab614ee4008f88b208a99458ef7b10cd4009f3dad73ae2cf9"),
+        ("basic", "records"): (0, "44b423d9e2b23a0df4e74cc7ca0f6fa95ff7fa109f2bb2d0062973b9fe2a4b6f"),
+        ("macdonald", "tsv"): (0, "46c0377e413bab5fbbd3b31881591792b9f08cb213b3be930cb50a5f74b856a6"),
+        ("macdonald", "records"): (0, "7ab007561b6d4a4edecdc0a6c588e829dfc3ff0a0397545f636c8efaea8eb26f"),
+        ("char", "tsv"): (0, "a26ac807b67c0f03be0388f7f05b543b04a4dfd935698669ef0a7d79d60ee775"),
+        ("char", "records"): (0, "dbe93329bb48d1558fd0ab91e26c65efbb1a517b1f59e97460a3af06df0250a5"),
+        ("verify --suite basic-pairing", "tsv"): (0, "a388cbbd945c9d0417875dcad5c2520b656db55598b8875b3045940a0aaf3c45"),
+        ("verify --suite basic-pairing", "records"): (0, "a388cbbd945c9d0417875dcad5c2520b656db55598b8875b3045940a0aaf3c45"),
+        ("verify --suite denominator", "tsv"): (0, "73c3968bc025b935fe4a01f6ad201ef5fdb4853ce59636110a77ae5f65d6173d"),
+        ("verify --suite denominator", "records"): (0, "73c3968bc025b935fe4a01f6ad201ef5fdb4853ce59636110a77ae5f65d6173d"),
+        ("verify --suite orthogonality", "tsv"): (0, "a78995eabb1e0b21d3b7c5828aea6b4569a26b94671919efe5b322bc5a21cfec"),
+        ("verify --suite orthogonality", "records"): (0, "a78995eabb1e0b21d3b7c5828aea6b4569a26b94671919efe5b322bc5a21cfec"),
+        ("verify --suite whittaker-schur", "tsv"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("verify --suite whittaker-schur", "records"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("verify --suite li --truncate 6", "tsv"): (0, "ff40d722d51aadd5bcef4ea0a5c66f5273ce17c1511322b1a8836306b8f6a7a9"),
+        ("verify --suite li --truncate 6", "records"): (0, "ff40d722d51aadd5bcef4ea0a5c66f5273ce17c1511322b1a8836306b8f6a7a9"),
+    },
+    "group:b2": {
+        ("inverse-satake", "tsv"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("inverse-satake", "records"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("basic", "tsv"): (0, "0f63b2ef3139e2e40e13f2a797d36d8ab535f09a210101c6eac791a6fe54febc"),
+        ("basic", "records"): (0, "2ac42ef2d323bdefb50160679ac12ac484d1548c26a8eb8999d388074bf968f8"),
+        ("macdonald", "tsv"): (0, "6ac7c3322af1a60cd2dacb0fdec8a9dc6dc0cc2c8982f61d428e74963913895c"),
+        ("macdonald", "records"): (0, "5fff5ab82e861c7085b4942df3ae0a34dff927a58d3d9bacacd7613cf3e51d99"),
+        ("char", "tsv"): (0, "e7474d25932a24037895b4f5570df4a3fa224d413a59fd37c97edcdce352ee7f"),
+        ("char", "records"): (0, "d96083b4a2926fa14293d46733d423705ea1e31241765a3c395a140d04fc1a80"),
+        ("verify --suite basic-pairing", "tsv"): (0, "fb6fddeb68c1b0c83dc429ba968775a0f10097f7d0bea3a5790d00581821e1ed"),
+        ("verify --suite basic-pairing", "records"): (0, "fb6fddeb68c1b0c83dc429ba968775a0f10097f7d0bea3a5790d00581821e1ed"),
+        ("verify --suite denominator", "tsv"): (0, "8914fd27d608a865c542ada0ce6b2ec37941be81619bc89e8afc48d023b8a6f1"),
+        ("verify --suite denominator", "records"): (0, "8914fd27d608a865c542ada0ce6b2ec37941be81619bc89e8afc48d023b8a6f1"),
+        ("verify --suite orthogonality", "tsv"): (0, "94920e32a026c9bef32a242b37298048592e24562ef2e59d95dda88cf9fdf9c2"),
+        ("verify --suite orthogonality", "records"): (0, "94920e32a026c9bef32a242b37298048592e24562ef2e59d95dda88cf9fdf9c2"),
+        ("verify --suite whittaker-schur", "tsv"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("verify --suite whittaker-schur", "records"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("verify --suite li --truncate 6", "tsv"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("verify --suite li --truncate 6", "records"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    },
+    "whittaker:gl3": {
+        ("inverse-satake", "tsv"): (0, "d0f7760a02756a7fd8ee38a3798e494712db5e224b708afecee963844ae9ce20"),
+        ("inverse-satake", "records"): (0, "b12ceacbd51b09647f56b7f7cac37b75c7d0de74eb49619badc7339af4792474"),
+        ("basic", "tsv"): (0, "769632c680ccf18190dec79b1d0968b5f636b9bdaf2cde9eaa9253eb1927e4eb"),
+        ("basic", "records"): (0, "671482fe4f758a4754f43b3c190c9c33b485b3a6aa93fe91f45eee0618790cca"),
+        ("macdonald", "tsv"): (0, "a26ac807b67c0f03be0388f7f05b543b04a4dfd935698669ef0a7d79d60ee775"),
+        ("macdonald", "records"): (0, "d98cdddac25bf793749c0a423573e52d3584f85dff9f4748b2453306fcc5ae56"),
+        ("char", "tsv"): (0, "a26ac807b67c0f03be0388f7f05b543b04a4dfd935698669ef0a7d79d60ee775"),
+        ("char", "records"): (0, "dbe93329bb48d1558fd0ab91e26c65efbb1a517b1f59e97460a3af06df0250a5"),
+        ("verify --suite basic-pairing", "tsv"): (0, "a388cbbd945c9d0417875dcad5c2520b656db55598b8875b3045940a0aaf3c45"),
+        ("verify --suite basic-pairing", "records"): (0, "a388cbbd945c9d0417875dcad5c2520b656db55598b8875b3045940a0aaf3c45"),
+        ("verify --suite denominator", "tsv"): (0, "73c3968bc025b935fe4a01f6ad201ef5fdb4853ce59636110a77ae5f65d6173d"),
+        ("verify --suite denominator", "records"): (0, "73c3968bc025b935fe4a01f6ad201ef5fdb4853ce59636110a77ae5f65d6173d"),
+        ("verify --suite orthogonality", "tsv"): (0, "a78995eabb1e0b21d3b7c5828aea6b4569a26b94671919efe5b322bc5a21cfec"),
+        ("verify --suite orthogonality", "records"): (0, "a78995eabb1e0b21d3b7c5828aea6b4569a26b94671919efe5b322bc5a21cfec"),
+        ("verify --suite whittaker-schur", "tsv"): (0, "496896f425340311a84013b2c11b857f453a1e4cb075438409d0cadcc732ed99"),
+        ("verify --suite whittaker-schur", "records"): (0, "496896f425340311a84013b2c11b857f453a1e4cb075438409d0cadcc732ed99"),
+        ("verify --suite li --truncate 6", "tsv"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("verify --suite li --truncate 6", "records"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    },
+    "sp2n_gl2n:2": {
+        ("inverse-satake", "tsv"): (0, "2a8eb8866abba2b7a659eb27336becf0479bb86c26d79bb602b2d83562b91dac"),
+        ("inverse-satake", "records"): (0, "8993b23543d0a03d98d943c00da73ba5f9fbdd9f11c65563e21aa5dbc3389d72"),
+        ("basic", "tsv"): (0, "bccd020afd272e8150b5aac85be13c7a3f97a2496c310a53fb2c869180ce4e43"),
+        ("basic", "records"): (0, "861bb82725a84cc9271a74a9bab720497e3b9e5f71e7822afee51b0b613c5602"),
+        ("macdonald", "tsv"): (0, "02b69566136f4daa38fa01927b18aa0492c95abffedeb2909376483702a58b6c"),
+        ("macdonald", "records"): (0, "2eafe8f60f95646696e66bbc8b98dc18cd6fac53bbf2010787aa7fe93b51a33d"),
+        ("char", "tsv"): (0, "02b69566136f4daa38fa01927b18aa0492c95abffedeb2909376483702a58b6c"),
+        ("char", "records"): (0, "3c1d10a5f64b1c364ed48cf3b19f0fe30795a8a7b7431c1a1a05b407d560fc98"),
+        ("verify --suite basic-pairing", "tsv"): (0, "a45ee23f33dae735a7e270e6f6baa1f0c7e3eb83dea3d5eb5e7774dd751c149c"),
+        ("verify --suite basic-pairing", "records"): (0, "a45ee23f33dae735a7e270e6f6baa1f0c7e3eb83dea3d5eb5e7774dd751c149c"),
+        ("verify --suite denominator", "tsv"): (0, "668282b3b91e84dfc96102ba10d6786fcacc5f163bbb0023bc32f39c763d4e8b"),
+        ("verify --suite denominator", "records"): (0, "668282b3b91e84dfc96102ba10d6786fcacc5f163bbb0023bc32f39c763d4e8b"),
+        ("verify --suite orthogonality", "tsv"): (0, "515eace7a648f182c0dcbeed743ca5fc17b626cd91fd017cf788b7b05f260e9e"),
+        ("verify --suite orthogonality", "records"): (0, "515eace7a648f182c0dcbeed743ca5fc17b626cd91fd017cf788b7b05f260e9e"),
+        ("verify --suite whittaker-schur", "tsv"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("verify --suite whittaker-schur", "records"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("verify --suite li --truncate 6", "tsv"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("verify --suite li --truncate 6", "records"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    },
+}
+
+
+@pytest.mark.parametrize("preset_arg", sorted(GOLDEN))
+def test_golden_stdout_digests(capsys, preset_arg):
+    weight = GOLDEN_WEIGHTS[preset_arg]
+    for (command, fmt), expected in GOLDEN[preset_arg].items():
+        argv = [*command.split(), "--preset", preset_arg,
+                f"--lowest-weight={weight}", "--format", fmt]
+        code, out, _ = run(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == expected, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["char", "--preset", "group:gl3", "--lowest-weight", "-1,-1,0"],
+        ["macdonald", "--preset", "group:b2", "--lowest-weight", "-1,0"],
+        ["inverse-satake", "--preset", "group:gl2", "--lowest-weight", "-1,0",
+         "--truncate", "3", "--format", "records"],
+    ],
+)
+def test_negative_lowest_weight_spellings_agree(capsys, argv):
+    i = argv.index("--lowest-weight")
+    joined = argv[:i] + [f"--lowest-weight={argv[i + 1]}"] + argv[i + 2:]
+    code, out, err = run(capsys, *joined)
+    assert code == 0, err
+    assert run(capsys, *argv) == (0, out, err)

@@ -11,7 +11,6 @@ from satake import (
     ConeSeries,
     QLaurent,
     ONE,
-    cone_witness,
     expand_product,
     geometric_inverse,
     lattice_points,
@@ -68,26 +67,27 @@ def brute_expand(numer, denom, spec, bound):
 # -- witnesses and specs -------------------------------------------------
 
 
-def test_cone_witness_positive_on_generators():
+def test_make_spec_witness_positive_on_generators():
     for gens in [[(1, 0), (0, 1)], [(1, -1), (0, 1)], [(2, 1), (1, 2)], [(1,)]]:
-        xi = cone_witness(gens)
+        xi = make_spec(gens).witness
         for g in gens:
             assert pair(xi, g) >= 1
 
 
-def test_cone_witness_rejects_lines():
+def test_make_spec_rejects_lines():
     with pytest.raises(NotStrictlyConvex):
-        cone_witness([(1,), (-1,)])
+        make_spec([(1,), (-1,)])
     with pytest.raises(NotStrictlyConvex):
-        cone_witness([(1, 0), (-1, 0)])
+        make_spec([(1, 0), (-1, 0)])
     with pytest.raises(NotStrictlyConvex):
-        cone_witness([(1, 0), (0, 1), (-1, -1)])
+        make_spec([(1, 0), (0, 1), (-1, -1)])
 
 
-def test_cone_witness_empty_needs_rank():
+def test_make_spec_empty_needs_rank():
     with pytest.raises(BadParameters):
-        cone_witness([])
-    assert cone_witness([], rank=2) == (0, 0) or len(cone_witness([], rank=2)) == 2
+        make_spec([])
+    spec = make_spec([], rank=2)
+    assert len(spec.witness) == 2 and spec.base_point == (0, 0)
 
 
 def test_spec_contains_and_degree():

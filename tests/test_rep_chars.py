@@ -115,7 +115,7 @@ def test_weight_multiset_is_weyl_stable():
 
 @pytest.mark.parametrize(
     "datum",
-    [sl2_datum(), adjoint_a1_datum(), gl_datum(2), gl_datum(3), b2_datum()],
+    [sl2_datum(), adjoint_a1_datum(), gl_datum(2), gl_datum(3), b2_datum(), RootDatum(2, ())],
 )
 def test_weyl_denominator_matches_product(datum):
     assert weyl_denominator(datum) == denominator_product(datum)

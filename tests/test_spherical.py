@@ -30,7 +30,8 @@ from satake.errors import (
     RhoInConeSpan,
     UnknownPreset,
 )
-from satake.root_weyl import ReflectionDatum, mat_apply, pair
+from satake.root_weyl import ReflectionDatum, mat_apply, pair, vneg, vsub
+from satake.spherical import _pairing_kernel
 
 GL2 = preset("group", "gl2")
 GL3 = preset("group", "gl3")
@@ -203,6 +204,47 @@ def test_pairing_orthogonality_sample():
 def test_pairing_whittaker_normalization():
     p = macdonald_p(WH2, (0, 1))
     assert pairing(p, p, WH2) == QLaurent({0: 2})
+
+
+def _one_sided_kernel(datum, depth):
+    """Independent expansion of the one-sided pairing weight.
+
+    prod_{gamma > 0} (1 - e^{-gamma}) / prod_{theta} (1 - sigma q^{-r} e^{-theta})
+    through witness degree `depth` on the negative cone, by plain binomial
+    and geometric loops; the reference for the kernel the pairing reads.
+    """
+    witness = datum.cone_spec().witness
+    terms = {(0,) * datum.rank: ONE}
+    for g in sorted(datum.positive_coroots()):
+        new = dict(terms)
+        for k, c in terms.items():
+            shifted = vsub(k, g)
+            if -pair(witness, shifted) <= depth:
+                new[shifted] = new.get(shifted, QLaurent()) - c
+        terms = {k: c for k, c in new.items() if not c.is_zero()}
+    for t, s, r in datum.theta_plus:
+        ratio = s * qmonomial(-r)
+        new = {}
+        for k, c in terms.items():
+            while -pair(witness, k) <= depth:
+                new[k] = new.get(k, QLaurent()) + c
+                k, c = vsub(k, t), c * ratio
+        terms = {k: c for k, c in new.items() if not c.is_zero()}
+    return terms
+
+
+@pytest.mark.parametrize(
+    "kind,parameter",
+    [("group", "gl2"), ("group", "gl3"), ("whittaker", "gl2"), ("whittaker", "gl3"),
+     ("sp2n_gl2n", 1), ("sp2n_gl2n", 2)],
+)
+def test_pairing_kernel_matches_independent_expansion(kind, parameter):
+    datum = preset(kind, parameter)
+    for depth in (0, 3, 10):
+        kernel = _pairing_kernel(datum, depth)
+        assert kernel.bound >= depth
+        low = {k: c for k, c in kernel.terms.items() if kernel.spec.degree(k) <= depth}
+        assert {vneg(k): c for k, c in _one_sided_kernel(datum, depth).items()} == low
 
 
 def test_pairing_ratio_is_basic_coefficient():
