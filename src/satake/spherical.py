@@ -8,10 +8,10 @@ supports all expansions.
 
 On top of the datum this module provides:
 
-* `macdonald_p`: the symmetrized family P_lambda, computed by clearing
-  all Weyl summands to the common denominator prod over the full root
-  set of (1 - e^gamma) and dividing exactly; a nonzero remainder is an
-  error, never silently truncated.
+* `macdonald_p`: the symmetrized family P_lambda, computed as the
+  Demazure operator of the longest Weyl element applied to the colored
+  monomial: one exact division by a binomial per letter of a reduced
+  word; a nonzero remainder is an error, never silently truncated.
 * `basic_asymptotics`: the cone expansion of
   prod(1 - e^gamma) / prod(1 - sigma q^-r e^theta).
 * `l_series` and `inverse_satake_lfun`: the L-function generating
@@ -41,13 +41,14 @@ from .cone_series import (
 from .errors import (
     BadParameters,
     DatumInvariantError,
+    MathError,
     NotPolynomial,
     NotStrictlyConvex,
     RhoInConeSpan,
     UnknownPreset,
 )
 from .linalg import find_witness, in_rational_span
-from .qlaurent import ONE, QLaurent, qmonomial
+from .qlaurent import ONE, ZERO, QLaurent, qmonomial
 from .rep_chars import WeightMultiset, lowest_weight_rep
 from .root_weyl import (
     ReflectionDatum,
@@ -55,11 +56,11 @@ from .root_weyl import (
     Vec,
     WeylGroup,
     intify,
-    mat_apply,
     pair,
+    reflect,
     stock_datum,
     vadd,
-    vneg,
+    vscale,
     vsub,
     weyl_of,
 )
@@ -266,66 +267,68 @@ class SymmetricPolynomial:
 def macdonald_p(datum: SphericalDatum, lam) -> SymmetricPolynomial:
     """The symmetrized polynomial P_lambda of the datum.
 
-    Each Weyl summand w(prod(1 - sigma q^-r e^theta) e^lambda) is
-    multiplied by the complementary factors (1 - e^gamma) over the full
-    root set minus the w-image of the positive coroots; the sum is then
-    divided exactly by prod over the full root set of (1 - e^gamma).
-    Exact division either terminates with remainder zero or proves the
-    sum non-polynomial, in which case NotPolynomial is raised.
+    P_lambda is the sum over the Weyl group of w(F / prod_{gamma > 0}
+    (1 - e^gamma)) with F = e^lambda prod(1 - sigma q^-r e^theta), which
+    equals the Demazure operator pi_{w0} applied to F (Demazure 1974).
+    pi_{w0} is the composite of the simple operators pi_i along a reduced
+    word of w0; each is one exact division by the binomial (1 - e^gamma_i),
+    and a division that leaves a remainder raises NotPolynomial.
     """
-    lam = intify(lam)
-    weyl = datum.weyl()
-    pos = datum.positive_coroots()
-    full = set(pos) | {vneg(g) for g in pos}
-    witness = datum.cone_spec().witness
-
-    denominator: GroupRing = {(0,) * datum.rank: ONE}
-    for g in sorted(full):
-        denominator = gr_mul_binomial(denominator, ONE, g)
-
-    total: GroupRing = {}
-    for mat, _ in weyl:
-        summand: GroupRing = {intify(mat_apply(mat, lam)): ONE}
-        for t, s, r in datum.theta_plus:
-            summand = gr_mul_binomial(summand, s * qmonomial(-r), intify(mat_apply(mat, t)))
-        w_pos = {intify(mat_apply(mat, g)) for g in pos}
-        for g in sorted(full - w_pos):
-            summand = gr_mul_binomial(summand, ONE, g)
-        for k, c in summand.items():
-            gr_add_term(total, k, c)
-
-    quotient = _exact_divide(total, denominator, pos, witness)
-    return SymmetricPolynomial(quotient)
+    terms: GroupRing = {intify(lam): ONE}
+    for t, s, r in datum.theta_plus:
+        terms = gr_mul_binomial(terms, s * qmonomial(-r), t)
+    for simple in _longest_word(datum.dual_datum()):
+        terms = _demazure(terms, simple)
+    return SymmetricPolynomial(terms)
 
 
-def _exact_divide(numer: GroupRing, denom: GroupRing, pos: tuple[Vec, ...], witness) -> GroupRing:
-    """Divide in the group ring along the witness-then-lex term order."""
-    if not numer:
-        return {}
-    varsigma = (0,) * len(witness)
-    for g in pos:
-        varsigma = vadd(varsigma, g)
-    sig_deg = int(pair(witness, varsigma))
-    lead_coeff = Fraction(-1) ** len(pos)
+def _longest_word(rd: RootDatum) -> list[ReflectionDatum]:
+    """A reduced word of w0: the simple reflections that walk rho_check
+    to the antidominant chamber, one positive root per step.
+    """
+    simples = rd.simples()
+    if any(x.denominator != 1 for d in simples for x in d.root):
+        raise MathError("a simple root is not integral on the lattice")
+    v = rd.rho_check()
+    word: list[ReflectionDatum] = []
+    while len(word) < len(rd.positive):
+        step = next((d for d in simples if pair(d.root, v) > 0), None)
+        if step is None:
+            break
+        word.append(step)
+        v = reflect(step, v)
+    if len(word) < len(rd.positive) or any(pair(d.root, v) > 0 for d in simples):
+        raise MathError(
+            f"the {len(rd.positive)} positive roots are not the positive system"
+            " of a finite Weyl group"
+        )
+    return word
 
-    def order(k: Vec):
-        return (int(pair(witness, k)), k)
 
-    floor = min(int(pair(witness, k)) for k in numer) + 2 * sig_deg
-    work = dict(numer)
-    quotient: GroupRing = {}
-    while work:
-        lead = max(work, key=order)
-        if int(pair(witness, lead)) < floor:
-            raise NotPolynomial(
-                "symmetrized sum is not divisible by the full denominator"
-            )
-        c = work[lead] * lead_coeff  # dividing by the unit leading coefficient
-        qkey = vsub(lead, varsigma)
-        quotient[qkey] = c
-        for dk, dc in denom.items():
-            gr_add_term(work, vadd(qkey, dk), -(c * dc))
-    return quotient
+def _demazure(terms: GroupRing, simple: ReflectionDatum) -> GroupRing:
+    """pi f = (f - e^gamma s(f)) / (1 - e^gamma) for a simple pair (alpha, gamma).
+
+    e^k sits at step m // 2 of the gamma-string through k - (m // 2) gamma,
+    m = <alpha, k>, and e^(gamma + s k) at step m // 2 - m + 1 of the same
+    string.  Dividing by (1 - e^gamma) is a running sum up each string.
+    """
+    alpha, gamma = intify(simple.root), simple.coroot
+    strings: dict[Vec, dict[int, QLaurent]] = {}
+    for k, c in terms.items():
+        m = sum(a * x for a, x in zip(alpha, k))
+        string = strings.setdefault(vsub(k, vscale(m // 2, gamma)), {})
+        for j, cj in ((m // 2, c), (m // 2 - m + 1, -c)):
+            string[j] = string.get(j, ZERO) + cj
+    out: GroupRing = {}
+    for base, string in strings.items():
+        total = ZERO
+        for j in range(min(string), max(string) + 1):
+            total = total + string.get(j, ZERO)
+            if not total.is_zero():
+                out[vadd(base, vscale(j, gamma))] = total
+        if not total.is_zero():
+            raise NotPolynomial(f"pi along {gamma} left a remainder")
+    return out
 
 
 # -- cone expansions ---------------------------------------------------
@@ -505,4 +508,20 @@ def pairing(p, q, datum: SphericalDatum) -> QLaurent:
             kv = kernel.get(vsub(k1, k2))
             if kv is not None:
                 total = total + c1 * c2 * kv
-    return len(datum.weyl().elements) * total
+    return _weyl_order(datum.dual_datum()) * total
+
+
+def _weyl_order(rd: RootDatum) -> Fraction:
+    """|W| = prod over positive coroots gamma of (ht gamma + 1) / ht gamma.
+
+    The height of a positive coroot is its pairing with the half-sum of
+    the positive roots, which takes the value 1 on every simple coroot.
+    """
+    rho = rd.rho_roots()
+    order = Fraction(1)
+    for g in rd.positive_coroots():
+        height = pair(rho, g)
+        if height <= 0:
+            raise MathError(f"coroot {g} has height {height}: no finite Weyl group")
+        order *= (height + 1) / height
+    return order

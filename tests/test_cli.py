@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,21 @@ HYPERBOLIC = (
     "cone 1,0\n"
     "cone 0,1\n"
 )
+
+# gl3 listing only its two simple reflections: not a full positive system.
+SIMPLE_ONLY_GL3 = (
+    "rank 3\n"
+    "reflection 1,-1,0 | 1,-1,0\n"
+    "reflection 0,1,-1 | 0,1,-1\n"
+    "theta 1,-1,0 | +1 | 1\n"
+    "theta 0,1,-1 | +1 | 1\n"
+    "rho_px 1,0,-1\n"
+    "cone 1,-1,0\n"
+    "cone 0,1,-1\n"
+)
+
+# Root 1/2 against coroot 4: the reflection is integral, the root is not.
+HALF_ROOT = "rank 1\nreflection 1/2 | 4\nrho_px 0\ncone 4\n"
 
 
 def run(capsys, *argv):
@@ -240,6 +259,21 @@ def test_exit_3_math_failure(capsys, tmp_path):
     assert "Weyl" in err
 
 
+@pytest.mark.parametrize(
+    "text,weight",
+    [(SIMPLE_ONLY_GL3, "0,0,1"), (HALF_ROOT, "1"), (HALF_ROOT, "2")],
+    ids=["simple-only-gl3", "half-root-odd", "half-root-even"],
+)
+def test_macdonald_rejects_a_datum_that_is_no_root_datum(capsys, tmp_path, text, weight):
+    path = tmp_path / "invalid.datum"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(
+        capsys, "macdonald", "--datum-file", str(path), "--lowest-weight", weight,
+    )
+    assert code in (2, 3), err
+    assert out == ""
+
+
 def test_stdout_runs_are_byte_identical(capsys):
     argv = ["basic", "--preset", "group:gl3", "--truncate", "4"]
     code1 = main(argv)
@@ -392,3 +426,20 @@ def test_negative_lowest_weight_spellings_agree(capsys, argv):
     code, out, err = run(capsys, *joined)
     assert code == 0, err
     assert run(capsys, *argv) == (0, out, err)
+
+
+def test_console_entry_point_reads_sys_argv():
+    import satake
+
+    src = str(Path(satake.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "satake.cli", "macdonald", "--preset", "group:gl3",
+         "--lowest-weight", "0,0,1"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    digest = hashlib.sha256(result.stdout).hexdigest()
+    assert (0, digest) == GOLDEN["group:gl3"][("macdonald", "tsv")]

@@ -10,6 +10,7 @@ from satake import (
     QLaurent,
     ONE,
     SphericalDatum,
+    SymmetricPolynomial,
     antidominant_weights,
     basic_asymptotics,
     extended_cone_spec,
@@ -26,12 +27,28 @@ from satake import (
 from satake.errors import (
     BadParameters,
     DatumInvariantError,
+    MathError,
     NotAntidominant,
+    NotPolynomial,
     RhoInConeSpan,
     UnknownPreset,
 )
-from satake.root_weyl import ReflectionDatum, mat_apply, pair, vneg, vsub
-from satake.spherical import _pairing_kernel
+from satake.root_weyl import (
+    ReflectionDatum,
+    intify,
+    mat_apply,
+    pair,
+    vadd,
+    vneg,
+    vsub,
+    weyl_of,
+)
+from satake.spherical import (
+    _pairing_kernel,
+    _weyl_order,
+    gr_add_term,
+    gr_mul_binomial,
+)
 
 GL2 = preset("group", "gl2")
 GL3 = preset("group", "gl3")
@@ -148,6 +165,145 @@ def test_macdonald_whittaker_is_schur():
         assert p.terms == {k: QLaurent({0: m}) for k, m in chi.items()}
 
 
+# -- the full-Weyl oracle ----------------------------------------------------
+
+
+def _full_weyl_p(datum, lam):
+    """P_lambda as the sum of |W| summands over the full-root denominator.
+
+    Each Weyl summand w(prod(1 - sigma q^-r e^theta) e^lambda) is
+    multiplied by the factors (1 - e^gamma) over the full root set minus
+    the w-image of the positive coroots; the sum is then divided exactly
+    by the product over the full root set.  The reference for the
+    Demazure-operator symmetrizer of `macdonald_p`.
+    """
+    lam = intify(lam)
+    pos = datum.positive_coroots()
+    full = set(pos) | {vneg(g) for g in pos}
+    denominator = {(0,) * datum.rank: ONE}
+    for g in sorted(full):
+        denominator = gr_mul_binomial(denominator, ONE, g)
+    total = {}
+    for mat, _ in datum.weyl():
+        summand = {intify(mat_apply(mat, lam)): ONE}
+        for t, s, r in datum.theta_plus:
+            summand = gr_mul_binomial(summand, s * qmonomial(-r), intify(mat_apply(mat, t)))
+        w_pos = {intify(mat_apply(mat, g)) for g in pos}
+        for g in sorted(full - w_pos):
+            summand = gr_mul_binomial(summand, ONE, g)
+        for k, c in summand.items():
+            gr_add_term(total, k, c)
+    return _exact_divide(total, denominator, pos, datum.cone_spec().witness)
+
+
+def _exact_divide(numer, denom, pos, witness):
+    """Divide in the group ring along the witness-then-lex term order."""
+    if not numer:
+        return {}
+    varsigma = (0,) * len(witness)
+    for g in pos:
+        varsigma = vadd(varsigma, g)
+    sig_deg = int(pair(witness, varsigma))
+    lead_coeff = Fraction(-1) ** len(pos)
+
+    def order(k):
+        return (int(pair(witness, k)), k)
+
+    floor = min(int(pair(witness, k)) for k in numer) + 2 * sig_deg
+    work = dict(numer)
+    quotient = {}
+    while work:
+        lead = max(work, key=order)
+        if int(pair(witness, lead)) < floor:
+            raise NotPolynomial("symmetrized sum is not divisible by the full denominator")
+        c = work[lead] * lead_coeff
+        qkey = vsub(lead, varsigma)
+        quotient[qkey] = c
+        for dk, dc in denom.items():
+            gr_add_term(work, vadd(qkey, dk), -(c * dc))
+    return quotient
+
+
+# (kind, parameter, degree of the antidominant sweep); the full-Weyl sum
+# costs about 0.5 s per weight at group:gl4, so that preset stops at P_0.
+ORACLE_PRESETS = [
+    ("group", "gl2", 2), ("group", "gl3", 2), ("group", "gl4", 0),
+    ("group", "b2", 2), ("group", "sl2", 2),
+    ("whittaker", "gl2", 2), ("whittaker", "gl3", 2), ("whittaker", "gl4", 1),
+    ("whittaker", "b2", 2),
+    ("sp2n_gl2n", 1, 2), ("sp2n_gl2n", 2, 2), ("sp2n_gl2n", 3, 2),
+]
+
+
+@pytest.mark.parametrize("kind,parameter,degree", ORACLE_PRESETS)
+def test_macdonald_matches_full_weyl_oracle(kind, parameter, degree):
+    datum = preset(kind, parameter)
+    weights = antidominant_weights(datum.dual_datum(), degree)
+    if degree:  # a few weights outside the antidominant chamber
+        weights += [vneg(w) for w in weights[:3]] + [vadd(weights[0], weights[-1])]
+    for lam in weights:
+        assert macdonald_p(datum, lam).terms == _full_weyl_p(datum, lam), lam
+
+
+def _moved_datum(datum, g, g_inv):
+    """The datum after the lattice basis change v -> g v (functionals f -> f g^-1)."""
+    def vec(v):
+        return mat_apply(g, v)
+
+    def functional(f):
+        return tuple(sum(f[i] * g_inv[i][j] for i in range(len(f))) for j in range(len(f)))
+
+    return SphericalDatum(
+        datum.rank,
+        tuple(ReflectionDatum(functional(d.root), vec(d.coroot)) for d in datum.positive),
+        tuple((vec(t), s, r) for t, s, r in datum.theta_plus),
+        functional(datum.rho_px),
+        tuple(vec(c) for c in datum.cone_cx),
+    )
+
+
+def test_macdonald_matches_oracle_in_a_moved_basis():
+    g, g_inv = ((2, 1), (1, 1)), ((1, -1), (-1, 2))
+    base = preset("group", "b2")
+    moved = _moved_datum(base, g, g_inv)
+    for lam in antidominant_weights(base.dual_datum(), 2) + [(1, 0), (2, -1)]:
+        p = macdonald_p(moved, mat_apply(g, lam))
+        assert p.terms == _full_weyl_p(moved, mat_apply(g, lam)), lam
+        assert p.terms == {mat_apply(g, k): c for k, c in macdonald_p(base, lam).terms.items()}
+
+
+# -- closed forms of P_0 ------------------------------------------------------
+
+
+def _q_inv_integer(i):
+    """[i] at q^-1: 1 + q^-1 + ... + q^-(i-1)."""
+    return QLaurent({-2 * j: 1 for j in range(i)})
+
+
+def _q_inv_product(*degrees):
+    out = ONE
+    for i in degrees:
+        out = out * _q_inv_integer(i)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_p0_of_gln_is_poincare_polynomial_of_sn(n):
+    p0 = macdonald_p(preset("group", f"gl{n}"), (0,) * n)
+    assert p0.terms == {(0,) * n: _q_inv_product(*range(1, n + 1))}
+
+
+def test_p0_closed_forms():
+    assert macdonald_p(preset("group", "gl5"), (0,) * 5).coefficient((0,) * 5).render() == (
+        "q^-10 + 4*q^-9 + 9*q^-8 + 15*q^-7 + 20*q^-6 + 22*q^-5"
+        " + 20*q^-4 + 15*q^-3 + 9*q^-2 + 4*q^-1 + 1"
+    )
+    assert macdonald_p(preset("group", "b2"), (0, 0)).terms == {(0, 0): _q_inv_product(2, 4)}
+    for name in ("gl2", "gl3", "gl4", "gl5", "b2", "sl2"):
+        datum = preset("whittaker", name)
+        assert macdonald_p(datum, (0,) * datum.rank).terms == {(0,) * datum.rank: ONE}
+
+
 # -- asymptotic series -----------------------------------------------------
 
 
@@ -183,6 +339,39 @@ def test_pairing_frozen_values():
     assert pairing(reg, p0, GL2) == QLaurent()
     dom = macdonald_p(GL2, (1, -1))
     assert pairing(dom, p0, GL2) == QLaurent({-6: 2, -4: 2, -2: -2, 0: -2})
+
+
+@pytest.mark.parametrize(
+    "kind,parameter",
+    [("group", "gl2"), ("group", "gl3"), ("group", "gl4"), ("group", "b2"),
+     ("group", "sl2"), ("sp2n_gl2n", 1), ("sp2n_gl2n", 2), ("sp2n_gl2n", 3),
+     ("group", "gl5"), ("group", "gl6")],
+)
+def test_weyl_order_formula_counts_weyl_group(kind, parameter):
+    rd = preset(kind, parameter).dual_datum()
+    assert _weyl_order(rd) == len(weyl_of(rd).elements)
+
+
+def test_hyperbolic_datum_is_rejected():
+    hyperbolic = SphericalDatum(
+        2,
+        (ReflectionDatum((2, -3), (1, 0)), ReflectionDatum((-3, 2), (0, 1))),
+        (),
+        (0, 0),
+        ((1, 0), (0, 1)),
+    )
+    with pytest.raises(MathError, match="Weyl"):
+        macdonald_p(hyperbolic, (0, 0))
+    with pytest.raises(MathError, match="Weyl"):
+        pairing({(0, 0): ONE}, {(0, 0): ONE}, hyperbolic)
+
+
+def test_pairing_with_a_scalar():
+    for datum, lam in [(GL2, (1, -1)), (GL3, (0, 0, 0)), (SP4, (0, 0))]:
+        p = macdonald_p(datum, lam)
+        unit = SymmetricPolynomial({(0,) * datum.rank: ONE})
+        assert pairing(p, 1, datum) == pairing(p, unit, datum)
+        assert not pairing(p, 1, datum).is_zero()
 
 
 def test_pairing_is_symmetric():
