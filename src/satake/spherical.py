@@ -287,8 +287,6 @@ def _longest_word(rd: RootDatum) -> list[ReflectionDatum]:
     to the antidominant chamber, one positive root per step.
     """
     simples = rd.simples()
-    if any(x.denominator != 1 for d in simples for x in d.root):
-        raise MathError("a simple root is not integral on the lattice")
     v = rd.rho_check()
     word: list[ReflectionDatum] = []
     while len(word) < len(rd.positive):
@@ -308,16 +306,19 @@ def _longest_word(rd: RootDatum) -> list[ReflectionDatum]:
 def _demazure(terms: GroupRing, simple: ReflectionDatum) -> GroupRing:
     """pi f = (f - e^gamma s(f)) / (1 - e^gamma) for a simple pair (alpha, gamma).
 
-    e^k sits at step m // 2 of the gamma-string through k - (m // 2) gamma,
-    m = <alpha, k>, and e^(gamma + s k) at step m // 2 - m + 1 of the same
-    string.  Dividing by (1 - e^gamma) is a running sum up each string.
+    A term e^p with m = <alpha, p> sits at step m // 2 of the gamma-string
+    through p - (m // 2) gamma.  e^gamma s(e^k) = e^(k + (1 - m) gamma) has
+    <alpha, .> = 2 - m, and shares the string of e^k when m is an integer.
+    Dividing by (1 - e^gamma) is a running sum up each string.
     """
-    alpha, gamma = intify(simple.root), simple.coroot
+    alpha = tuple(a.numerator if a.denominator == 1 else a for a in simple.root)
+    gamma = simple.coroot
     strings: dict[Vec, dict[int, QLaurent]] = {}
     for k, c in terms.items():
         m = sum(a * x for a, x in zip(alpha, k))
-        string = strings.setdefault(vsub(k, vscale(m // 2, gamma)), {})
-        for j, cj in ((m // 2, c), (m // 2 - m + 1, -c)):
+        sk = tuple(x + g - int(m * g) for x, g in zip(k, gamma))
+        for p, j, cj in ((k, m // 2, c), (sk, (2 - m) // 2, -c)):
+            string = strings.setdefault(vsub(p, vscale(j, gamma)), {})
             string[j] = string.get(j, ZERO) + cj
     out: GroupRing = {}
     for base, string in strings.items():
@@ -508,20 +509,5 @@ def pairing(p, q, datum: SphericalDatum) -> QLaurent:
             kv = kernel.get(vsub(k1, k2))
             if kv is not None:
                 total = total + c1 * c2 * kv
-    return _weyl_order(datum.dual_datum()) * total
+    return len(datum.weyl().elements) * total
 
-
-def _weyl_order(rd: RootDatum) -> Fraction:
-    """|W| = prod over positive coroots gamma of (ht gamma + 1) / ht gamma.
-
-    The height of a positive coroot is its pairing with the half-sum of
-    the positive roots, which takes the value 1 on every simple coroot.
-    """
-    rho = rd.rho_roots()
-    order = Fraction(1)
-    for g in rd.positive_coroots():
-        height = pair(rho, g)
-        if height <= 0:
-            raise MathError(f"coroot {g} has height {height}: no finite Weyl group")
-        order *= (height + 1) / height
-    return order

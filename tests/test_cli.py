@@ -259,19 +259,27 @@ def test_exit_3_math_failure(capsys, tmp_path):
     assert "Weyl" in err
 
 
-@pytest.mark.parametrize(
-    "text,weight",
-    [(SIMPLE_ONLY_GL3, "0,0,1"), (HALF_ROOT, "1"), (HALF_ROOT, "2")],
-    ids=["simple-only-gl3", "half-root-odd", "half-root-even"],
-)
-def test_macdonald_rejects_a_datum_that_is_no_root_datum(capsys, tmp_path, text, weight):
-    path = tmp_path / "invalid.datum"
-    path.write_text(text, encoding="utf-8")
+def test_macdonald_rejects_simple_reflections_only(capsys, tmp_path):
+    path = tmp_path / "simple_only.datum"
+    path.write_text(SIMPLE_ONLY_GL3, encoding="utf-8")
     code, out, err = run(
-        capsys, "macdonald", "--datum-file", str(path), "--lowest-weight", weight,
+        capsys, "macdonald", "--datum-file", str(path), "--lowest-weight", "0,0,1",
     )
-    assert code in (2, 3), err
-    assert out == ""
+    assert (code, out) == (3, ""), err
+    assert "Weyl" in err
+
+
+@pytest.mark.parametrize(
+    "weight,code,expected",
+    [("1", 3, ""), ("2", 0, ""), ("-2", 0, "-2\t1\n2\t1\n")],
+)
+def test_macdonald_on_a_half_integral_root(capsys, tmp_path, weight, code, expected):
+    # s k = -k and the coroot is 4, so P_lam = (e^lam - e^(4 - lam)) / (1 - e^4):
+    # a Laurent polynomial exactly when lam is even.
+    path = tmp_path / "half_root.datum"
+    path.write_text(HALF_ROOT, encoding="utf-8")
+    got = run(capsys, "macdonald", "--datum-file", str(path), f"--lowest-weight={weight}")
+    assert got[:2] == (code, expected), got[2]
 
 
 def test_stdout_runs_are_byte_identical(capsys):
