@@ -1,10 +1,10 @@
-"""Weyl groups, the denominator identity, and Freudenthal characters.
+"""Weyl groups, the denominator identity, and Demazure characters.
 
 Walks through the reflection-group layer that everything else sits on:
 enumerate a Weyl group from its simple reflections, verify the signed
 sum over the group against the product over positive coroots, then
-build weight multiplicities with Freudenthal's recursion and check the
-dimension formula.
+build weight multiplicities with the Demazure character formula
+pi_{w0}(e^lowest) and check the dimension formula.
 """
 
 from satake import (
@@ -49,7 +49,7 @@ def main():
         print(f"  e^{k}: {lhs[k].render()}")
     print()
 
-    # -- Freudenthal characters --------------------------------------------
+    # -- Demazure characters ------------------------------------------------
 
     print("== weight multiplicities from the lowest weight ==")
     cases = [

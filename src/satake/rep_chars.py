@@ -1,147 +1,123 @@
 """Weight multisets of irreducible representations, exactly.
 
 `lowest_weight_rep` produces the full weight multiset of the
-irreducible representation with a given antidominant lowest weight,
-via Freudenthal's recursion run over the dominant weights below the
-highest weight and a Weyl-invariant inner product obtained by group
-averaging.  `weyl_denominator` and `weyl_dimension` give the two
-classical cross-checks: the alternating denominator sum and the
-dimension product formula.
+irreducible representation with a given antidominant lowest weight by
+Demazure's character formula: the character is pi_{w0}(e^lambda), the
+Demazure operator of the longest Weyl element applied to the lowest
+weight monomial, one exact division by a binomial per letter of a
+reduced word of w0.  The same operators symmetrize `macdonald_p`.
+`weyl_denominator` and `weyl_dimension` give the two classical
+cross-checks: the alternating denominator sum and the dimension
+product formula.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
+import math
 from fractions import Fraction
 
-from .errors import NotAntidominant
-from .qlaurent import QLaurent
+from .errors import MathError, NotAntidominant, NotPolynomial
+from .qlaurent import ONE, ZERO, QLaurent
 from .root_weyl import (
+    ReflectionDatum,
     RootDatum,
     Vec,
-    dominant_image,
     intify,
     mat_apply,
     pair,
+    reflect,
     vadd,
+    vscale,
     vsub,
     weyl_of,
 )
 
 __all__ = ["lowest_weight_rep", "weyl_denominator", "weyl_dimension"]
 
+GroupRing = dict[Vec, QLaurent]
+
 WeightMultiset = dict[Vec, int]
 
 
-@functools.cache
-def _invariant_form(datum: RootDatum) -> tuple[tuple[Fraction, ...], ...]:
-    """A Weyl-invariant positive form: the group average of the dot product."""
-    n = datum.rank
-    weyl = weyl_of(datum)
-    gram = [[Fraction(0)] * n for _ in range(n)]
-    for m, _ in weyl:
-        for i in range(n):
-            for j in range(n):
-                gram[i][j] += sum(Fraction(m[k][i]) * m[k][j] for k in range(n))
-    return tuple(tuple(row) for row in gram)
+def _longest_word(rd: RootDatum) -> list[ReflectionDatum]:
+    """A reduced word of w0: the simple reflections that walk rho_check
+    to the antidominant chamber, one positive root per step.
+    """
+    simples = rd.simples()
+    v = rd.rho_check()
+    word: list[ReflectionDatum] = []
+    while len(word) < len(rd.positive):
+        step = next((d for d in simples if pair(d.root, v) > 0), None)
+        if step is None:
+            break
+        word.append(step)
+        v = reflect(step, v)
+    if len(word) < len(rd.positive) or any(pair(d.root, v) > 0 for d in simples):
+        raise MathError(
+            f"the {len(rd.positive)} positive roots are not the positive system"
+            " of a finite Weyl group"
+        )
+    return word
 
 
-def _bform(gram, u, v) -> Fraction:
-    n = len(gram)
-    return sum(
-        (Fraction(u[i]) * gram[i][j] * Fraction(v[j]) for i in range(n) for j in range(n)),
-        Fraction(0),
-    )
+def _demazure(terms: GroupRing, simple: ReflectionDatum) -> GroupRing:
+    """pi f = (f - e^gamma s(f)) / (1 - e^gamma) for a simple pair (alpha, gamma).
 
-
-def _simple_coroot_coords(datum: RootDatum, v) -> tuple[Fraction, ...] | None:
-    from .linalg import expand_in_basis
-
-    simples = [d.coroot for d in datum.simples()]
-    return expand_in_basis(simples, v)
+    A term e^p with m = <alpha, p> sits at step m // 2 of the gamma-string
+    through p - (m // 2) gamma.  e^gamma s(e^k) = e^(k + (1 - m) gamma) has
+    <alpha, .> = 2 - m, and shares the string of e^k when m is an integer.
+    Dividing by (1 - e^gamma) is a running sum up each string.
+    """
+    alpha = tuple(a.numerator if a.denominator == 1 else a for a in simple.root)
+    gamma = simple.coroot
+    strings: dict[Vec, dict[int, QLaurent]] = {}
+    for k, c in terms.items():
+        m = sum(a * x for a, x in zip(alpha, k))
+        sk = tuple(x + g - int(m * g) for x, g in zip(k, gamma))
+        for p, j, cj in ((k, m // 2, c), (sk, (2 - m) // 2, -c)):
+            string = strings.setdefault(vsub(p, vscale(j, gamma)), {})
+            string[j] = string.get(j, ZERO) + cj
+    out: GroupRing = {}
+    for base, string in strings.items():
+        total = ZERO
+        for j in range(min(string), max(string) + 1):
+            total = total + string.get(j, ZERO)
+            if not total.is_zero():
+                out[vadd(base, vscale(j, gamma))] = total
+        if not total.is_zero():
+            raise NotPolynomial(f"pi along {gamma} left a remainder")
+    return out
 
 
 def lowest_weight_rep(datum: RootDatum, lowest) -> WeightMultiset:
     """Weight multiset of the irreducible with the given lowest weight.
 
     The lowest weight must be antidominant; rejects with NotAntidominant
-    otherwise.  Multiplicities come from Freudenthal's recursion on the
-    dominant cone, then spread over Weyl orbits.
+    otherwise.  The character is pi_{w0}(e^lowest) (Demazure 1974).
     """
     lowest = intify(lowest)
     if not all(pair(d.root, lowest) <= 0 for d in datum.positive):
         raise NotAntidominant(f"{lowest} is not antidominant")
-    if not datum.positive:
-        return {lowest: 1}
-    weyl = weyl_of(datum)
-    gram = _invariant_form(datum)
-    simples = datum.simples()
-    simple_coroots = [d.coroot for d in simples]
-    top = intify(dominant_image(datum, lowest))
-    box = _simple_coroot_coords(datum, vsub(top, lowest))
-    assert box is not None, "dominant image must differ by coroot steps"
-    box_int = []
-    for c in box:
-        assert c.denominator == 1 and c >= 0
-        box_int.append(int(c))
-
-    # Dominant candidates top - sum(c_i * simple_coroot_i) inside the box.
-    dominant: list[Vec] = []
-    for cs in itertools.product(*(range(m + 1) for m in box_int)):
-        mu = top
-        for c, delta in zip(cs, simple_coroots):
-            mu = vsub(mu, tuple(c * x for x in delta))
-        if all(pair(d.root, mu) >= 0 for d in datum.positive):
-            dominant.append(mu)
-    height = datum.height_functional()
-    dominant.sort(key=lambda mu: (pair(height, vsub(top, mu)), mu))
-
-    rho = datum.rho_check()
-    top_shift = tuple(Fraction(x) + r for x, r in zip(top, rho))
-    top_norm = _bform(gram, top_shift, top_shift)
-    mults: dict[Vec, int] = {}
-    for mu in dominant:
-        if mu == top:
-            mults[mu] = 1
-            continue
-        num = Fraction(0)
-        for d in datum.positive:
-            gamma = d.coroot
-            k = 1
-            while True:
-                nu = vadd(mu, tuple(k * x for x in gamma))
-                coords = _simple_coroot_coords(datum, vsub(top, nu))
-                if coords is None or any(c < 0 for c in coords):
-                    break
-                m_nu = mults.get(intify(dominant_image(datum, nu)), 0)
-                if m_nu:
-                    num += 2 * m_nu * _bform(gram, nu, gamma)
-                k += 1
-        mu_shift = tuple(Fraction(x) + r for x, r in zip(mu, rho))
-        den = top_norm - _bform(gram, mu_shift, mu_shift)
-        assert den > 0
-        m = num / den
-        assert m.denominator == 1 and m >= 0
-        if m:
-            mults[mu] = int(m)
-
-    out: WeightMultiset = {}
-    for mu, m in mults.items():
-        for w in {mat_apply(mat, mu) for mat, _ in weyl}:
-            out[intify(w)] = m
-    return out
+    terms: GroupRing = {lowest: ONE}
+    for simple in _longest_word(datum):
+        terms = _demazure(terms, simple)
+    return {k: int(c.constant_value()) for k, c in terms.items()}
 
 
-def weyl_denominator(datum: RootDatum) -> dict[Vec, QLaurent]:
-    """The alternating sum of e^(rho - w rho) over the Weyl group."""
+def _alternant(datum: RootDatum, lam) -> GroupRing:
+    """The alternating sum of e^(w(lam - rho) + rho) over the Weyl group.
+
+    By Weyl's character formula it is the character with lowest weight
+    lam times prod_{gamma > 0} (1 - e^gamma); at lam = 0 it is that
+    product alone.
+    """
     weyl = weyl_of(datum)
     rho = datum.rho_check()
-    out: dict[Vec, QLaurent] = {}
+    shifted = vsub(lam, rho)
+    out: GroupRing = {}
     for i, (m, _) in enumerate(weyl):
-        key = intify(vsub(rho, mat_apply(m, rho)))
-        prev = out.get(key, QLaurent())
-        s = prev + weyl.sign(i)
+        key = intify(vadd(mat_apply(m, shifted), rho))
+        s = out.get(key, ZERO) + weyl.sign(i)
         if s.is_zero():
             out.pop(key, None)
         else:
@@ -149,19 +125,28 @@ def weyl_denominator(datum: RootDatum) -> dict[Vec, QLaurent]:
     return out
 
 
+def weyl_denominator(datum: RootDatum) -> dict[Vec, QLaurent]:
+    """The alternating sum of e^(rho - w rho) over the Weyl group."""
+    return _alternant(datum, (0,) * datum.rank)
+
+
 def weyl_dimension(datum: RootDatum, lowest) -> int:
-    """Dimension of the irreducible with the given antidominant lowest weight."""
+    """Dimension of the irreducible with the given antidominant lowest weight.
+
+    The product over positive roots of <alpha, top + rho> / <alpha, rho>,
+    with top = w0(lowest), the highest weight.
+    """
     lowest = intify(lowest)
     if not all(pair(d.root, lowest) <= 0 for d in datum.positive):
         raise NotAntidominant(f"{lowest} is not antidominant")
-    if not datum.positive:
-        return 1
-    gram = _invariant_form(datum)
+    top = lowest
+    for simple in _longest_word(datum):
+        top = reflect(simple, top)
     rho = datum.rho_check()
-    top = dominant_image(datum, lowest)
-    top_shift = tuple(Fraction(x) + r for x, r in zip(top, rho))
-    dim = Fraction(1)
-    for d in datum.positive:
-        dim *= _bform(gram, top_shift, d.coroot) / _bform(gram, rho, d.coroot)
-    assert dim.denominator == 1 and dim >= 1
+    top_shift = vadd(top, rho)
+    num = math.prod((pair(d.root, top_shift) for d in datum.positive), start=Fraction(1))
+    den = math.prod((pair(d.root, rho) for d in datum.positive), start=Fraction(1))
+    dim = num / den if den else Fraction(0)
+    if dim.denominator != 1 or dim < 1:
+        raise MathError(f"the dimension product {num}/{den} is not a positive integer")
     return int(dim)

@@ -41,15 +41,13 @@ from .cone_series import (
 from .errors import (
     BadParameters,
     DatumInvariantError,
-    MathError,
-    NotPolynomial,
     NotStrictlyConvex,
     RhoInConeSpan,
     UnknownPreset,
 )
 from .linalg import find_witness, in_rational_span
-from .qlaurent import ONE, ZERO, QLaurent, qmonomial
-from .rep_chars import WeightMultiset, lowest_weight_rep
+from .qlaurent import ONE, QLaurent, qmonomial
+from .rep_chars import GroupRing, WeightMultiset, _demazure, _longest_word, lowest_weight_rep
 from .root_weyl import (
     ReflectionDatum,
     RootDatum,
@@ -57,10 +55,8 @@ from .root_weyl import (
     WeylGroup,
     intify,
     pair,
-    reflect,
     stock_datum,
     vadd,
-    vscale,
     vsub,
     weyl_of,
 )
@@ -79,8 +75,6 @@ __all__ = [
     "inverse_satake_lfun",
     "pairing",
 ]
-
-GroupRing = dict[Vec, QLaurent]
 
 ThetaTriple = tuple[Vec, int, Fraction]
 
@@ -282,56 +276,6 @@ def macdonald_p(datum: SphericalDatum, lam) -> SymmetricPolynomial:
     return SymmetricPolynomial(terms)
 
 
-def _longest_word(rd: RootDatum) -> list[ReflectionDatum]:
-    """A reduced word of w0: the simple reflections that walk rho_check
-    to the antidominant chamber, one positive root per step.
-    """
-    simples = rd.simples()
-    v = rd.rho_check()
-    word: list[ReflectionDatum] = []
-    while len(word) < len(rd.positive):
-        step = next((d for d in simples if pair(d.root, v) > 0), None)
-        if step is None:
-            break
-        word.append(step)
-        v = reflect(step, v)
-    if len(word) < len(rd.positive) or any(pair(d.root, v) > 0 for d in simples):
-        raise MathError(
-            f"the {len(rd.positive)} positive roots are not the positive system"
-            " of a finite Weyl group"
-        )
-    return word
-
-
-def _demazure(terms: GroupRing, simple: ReflectionDatum) -> GroupRing:
-    """pi f = (f - e^gamma s(f)) / (1 - e^gamma) for a simple pair (alpha, gamma).
-
-    A term e^p with m = <alpha, p> sits at step m // 2 of the gamma-string
-    through p - (m // 2) gamma.  e^gamma s(e^k) = e^(k + (1 - m) gamma) has
-    <alpha, .> = 2 - m, and shares the string of e^k when m is an integer.
-    Dividing by (1 - e^gamma) is a running sum up each string.
-    """
-    alpha = tuple(a.numerator if a.denominator == 1 else a for a in simple.root)
-    gamma = simple.coroot
-    strings: dict[Vec, dict[int, QLaurent]] = {}
-    for k, c in terms.items():
-        m = sum(a * x for a, x in zip(alpha, k))
-        sk = tuple(x + g - int(m * g) for x, g in zip(k, gamma))
-        for p, j, cj in ((k, m // 2, c), (sk, (2 - m) // 2, -c)):
-            string = strings.setdefault(vsub(p, vscale(j, gamma)), {})
-            string[j] = string.get(j, ZERO) + cj
-    out: GroupRing = {}
-    for base, string in strings.items():
-        total = ZERO
-        for j in range(min(string), max(string) + 1):
-            total = total + string.get(j, ZERO)
-            if not total.is_zero():
-                out[vadd(base, vscale(j, gamma))] = total
-        if not total.is_zero():
-            raise NotPolynomial(f"pi along {gamma} left a remainder")
-    return out
-
-
 # -- cone expansions ---------------------------------------------------
 
 
@@ -498,11 +442,8 @@ def pairing(p, q, datum: SphericalDatum) -> QLaurent:
         return QLaurent()
 
     witness = datum.cone_spec().witness
-    depth = 0
-    for k1 in tp:
-        for k2 in tq:
-            depth = max(depth, int(pair(witness, vsub(k1, k2))))
-    kernel = _pairing_kernel(datum, depth)
+    reach = max(pair(witness, k) for k in tp) - min(pair(witness, k) for k in tq)
+    kernel = _pairing_kernel(datum, max(0, int(reach)))
     total = QLaurent()
     for k1, c1 in tp.items():
         for k2, c2 in tq.items():

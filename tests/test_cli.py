@@ -33,6 +33,16 @@ SIMPLE_ONLY_GL3 = (
     "cone 0,1,-1\n"
 )
 
+# b2 listing only its two simple reflections, with no colours.
+SIMPLE_ONLY_B2 = (
+    "rank 2\n"
+    "reflection 1,-1 | 1,-1\n"
+    "reflection 0,1 | 0,2\n"
+    "rho_px 0,0\n"
+    "cone 1,-1\n"
+    "cone 0,2\n"
+)
+
 # Root 1/2 against coroot 4: the reflection is integral, the root is not.
 HALF_ROOT = "rank 1\nreflection 1/2 | 4\nrho_px 0\ncone 4\n"
 
@@ -279,6 +289,25 @@ def test_macdonald_on_a_half_integral_root(capsys, tmp_path, weight, code, expec
     path = tmp_path / "half_root.datum"
     path.write_text(HALF_ROOT, encoding="utf-8")
     got = run(capsys, "macdonald", "--datum-file", str(path), f"--lowest-weight={weight}")
+    assert got[:2] == (code, expected), got[2]
+
+
+@pytest.mark.parametrize(
+    "text,argv,code,expected",
+    [
+        (SIMPLE_ONLY_GL3, ["char", "--lowest-weight=0,0,2"], 3, ""),
+        (SIMPLE_ONLY_GL3, ["inverse-satake", "--lowest-weight=0,0,1"], 3, ""),
+        (SIMPLE_ONLY_B2, ["verify", "--suite", "whittaker-schur"], 3, ""),
+        (HALF_ROOT, ["char", "--lowest-weight=-1"], 3, ""),
+        (HALF_ROOT, ["char", "--lowest-weight=-2"], 0, "-2\t1\n2\t1\n"),
+    ],
+    ids=["gl3-simple-only-char", "gl3-simple-only-inverse-satake",
+         "b2-simple-only-whittaker-schur", "half-root-odd-char", "half-root-even-char"],
+)
+def test_invalid_data_give_typed_exits(capsys, tmp_path, text, argv, code, expected):
+    path = tmp_path / "invalid.datum"
+    path.write_text(text, encoding="utf-8")
+    got = run(capsys, *argv, "--datum-file", str(path))
     assert got[:2] == (code, expected), got[2]
 
 
