@@ -4,10 +4,11 @@ For a group-shaped datum the unramified-value coefficients have a
 closed alternating-sum expression over the Weyl group in terms of the
 partition function of the multiset Psi: the positive coroots together
 with the weights of the representation (counted with multiplicity).
-This module computes that expression by bounded exhaustive enumeration
-of multiset decompositions.  It deliberately shares no code path with
-the cone-series machinery, so agreement between the two is a genuine
-cross-check, exercised by `li_equivalence_check`.
+This module computes that expression with a partition count memoised
+over (member index, remaining vector), bounded by an integer witness
+functional.  It deliberately shares no code path with the cone-series
+machinery, so agreement between the two is a genuine cross-check,
+exercised by `li_equivalence_check`.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .cone_series import lattice_points
 from .errors import BadParameters, RhoInConeSpan
@@ -44,7 +46,15 @@ class LiDatum:
     rho_b: tuple[Fraction, ...]
     weyl: WeylGroup
     psi_witness: tuple[int, ...]
-    _partition_cache: dict[Vec, QLaurent] = field(default_factory=dict)
+    _partition_cache: dict[tuple[int, Vec], dict[int, int]] = field(default_factory=dict)
+
+    @cached_property
+    def _signed_shifts(self) -> list[tuple[Vec, int]]:
+        """(rho_b - w rho_b, sign of w) for each w, as li_coefficient sums them."""
+        return [
+            (intify(vsub(self.rho_b, mat_apply(mat, self.rho_b))), self.weyl.sign(i))
+            for i, (mat, _) in enumerate(self.weyl)
+        ]
 
 
 def li_datum(datum: SphericalDatum, rho) -> LiDatum:
@@ -82,46 +92,48 @@ def li_datum(datum: SphericalDatum, rho) -> LiDatum:
     )
 
 
+# Most memoised states are dead ends; they share this one (never mutated) count.
+_NO_WAYS: dict[int, int] = {}
+
+
 def li_partition(d: LiDatum, mu) -> QLaurent:
     """The partition count P_Psi(mu, q).
 
     Coefficient of q^k is the number of multiset decompositions of -mu
-    into k members of Psi, found by depth-first enumeration bounded by
-    the witness functional.  Zero whenever -mu leaves the nonnegative
-    span of Psi.
+    into k members of Psi.  count(i, r), by size, sums count(i + 1,
+    r - k v_i) over k copies of member i, C(k + m_i - 1, m_i - 1) ways
+    each, while the integer witness budget stays >= 0.  It recurses one
+    frame per member and is memoised over (i, r) in d._partition_cache,
+    which every mu of one LiDatum shares.  Zero whenever -mu leaves the
+    nonnegative span of Psi.
     """
-    mu = intify(mu)
-    cached = d._partition_cache.get(mu)
-    if cached is not None:
-        return cached
-    target = vneg(mu)
-    budget = pair(d.psi_witness, target)
-    counts: dict[int, int] = {}
+    witness = d.psi_witness
+    cache = d._partition_cache
+    last = len(d.psi)
 
-    def walk(i: int, remaining: Vec, size: int, ways: int, left: Fraction) -> None:
-        if left < 0:
-            return
-        if i == len(d.psi):
-            if all(x == 0 for x in remaining):
-                counts[size] = counts.get(size, 0) + ways
-            return
+    def count(i: int, r: Vec, left: int) -> dict[int, int]:
+        if left == 0 or i == last:  # every member has witness step >= 1
+            return _NO_WAYS if any(r) else {0: 1}
+        out = cache.get((i, r))
+        if out is not None:
+            return out
+        out = {}
         vec, mult = d.psi[i]
-        step = pair(d.psi_witness, vec)
-        k = 0
-        rem = remaining
-        lf = left
-        while lf >= 0:
-            walk(i + 1, rem, size + k, ways * math.comb(k + mult - 1, mult - 1), lf)
-            k += 1
-            rem = vsub(rem, vec)
-            lf = left - k * step
-        return
+        step = sum(a * x for a, x in zip(witness, vec))
+        rem, k = r, 0
+        while left >= 0:
+            ways = math.comb(k + mult - 1, mult - 1)
+            for size, n in count(i + 1, rem, left).items():
+                out[size + k] = out.get(size + k, 0) + ways * n
+            rem, k, left = vsub(rem, vec), k + 1, left - step
+        out = cache[i, r] = out or _NO_WAYS
+        return out
 
-    if budget >= 0:
-        walk(0, target, 0, 1, budget)
-    out = QLaurent({2 * k: Fraction(n) for k, n in counts.items()})
-    d._partition_cache[mu] = out
-    return out
+    target = vneg(intify(mu))
+    budget = sum(a * x for a, x in zip(witness, target))
+    if budget < 0:
+        return QLaurent()
+    return QLaurent({2 * k: n for k, n in count(0, target, budget).items()})
 
 
 def li_coefficient(d: LiDatum, mu) -> QLaurent:
@@ -136,12 +148,10 @@ def li_coefficient(d: LiDatum, mu) -> QLaurent:
     if dm < 0:
         return QLaurent()
     total = QLaurent()
-    for i, (mat, _) in enumerate(d.weyl):
-        shift = vsub(d.rho_b, mat_apply(mat, d.rho_b))
-        arg = vsub(intify(shift), mu)
-        p = li_partition(d, arg)
+    for shift, sign in d._signed_shifts:
+        p = li_partition(d, vsub(shift, mu))
         if not p.is_zero():
-            total = total + d.weyl.sign(i) * p.invert_q()
+            total = total + sign * p.invert_q()
     if total.is_zero():
         return total
     return total * qmonomial(dm)

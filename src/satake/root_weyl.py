@@ -230,16 +230,22 @@ def _weyl_group(datum: RootDatum, cap: int) -> WeylGroup:
 
 
 def dominant_image(datum: RootDatum, v):
-    """The dominant Weyl translate of v (exact, via simple reflections)."""
+    """The dominant Weyl translate of v (exact, via simple reflections).
+
+    A finite Weyl group reaches it in at most |positive roots| steps;
+    past that the group is infinite and MathError is raised.
+    """
     simples = datum.simples()
     cur = tuple(v)
-    while True:
-        for d in simples:
-            if pair(d.root, cur) < 0:
-                cur = reflect(d, cur)
-                break
-        else:
+    for _ in range(len(datum.positive) + 1):
+        step = next((d for d in simples if pair(d.root, cur) < 0), None)
+        if step is None:
             return cur
+        cur = reflect(step, cur)
+    raise MathError(
+        f"the {len(datum.positive)} positive roots are not the positive system"
+        " of a finite Weyl group"
+    )
 
 
 def _root_perp_basis(datum: RootDatum) -> list[Vec]:

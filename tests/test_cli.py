@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from satake import RootDatum, dominant_image, parse_datum
 from satake.cli import main
+from satake.errors import MathError
 
 HYPERBOLIC = (
     "rank 2\n"
@@ -267,6 +269,12 @@ def test_exit_3_math_failure(capsys, tmp_path):
     )
     assert code == 3
     assert "Weyl" in err
+
+
+def test_dominant_image_stops_on_the_hyperbolic_datum():
+    datum = parse_datum(HYPERBOLIC)
+    with pytest.raises(MathError):
+        dominant_image(RootDatum(datum.rank, datum.positive), (1, 1))
 
 
 def test_macdonald_rejects_simple_reflections_only(capsys, tmp_path):
