@@ -1,10 +1,11 @@
 """Weyl groups, the denominator identity, and Demazure characters.
 
 Walks through the reflection-group layer that everything else sits on:
-enumerate a Weyl group from its simple reflections, verify the signed
-sum over the group against the product over positive coroots, then
-build weight multiplicities with the Demazure character formula
-pi_{w0}(e^lowest) and check the dimension formula.
+list a Weyl group as the orbit of rho_check under its simple reflections
+(one point and one word length per element), verify the signed sum over
+the group against the product over positive coroots, then build weight
+multiplicities with the Demazure character formula pi_{w0}(e^lowest) and
+check the dimension formula.
 """
 
 from satake import (

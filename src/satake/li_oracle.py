@@ -16,14 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .cone_series import lattice_points
 from .errors import BadParameters, RhoInConeSpan
 from .linalg import find_witness, functional_with_values, in_rational_span
 from .qlaurent import QLaurent, qmonomial
 from .rep_chars import lowest_weight_rep
-from .root_weyl import Vec, WeylGroup, intify, mat_apply, pair, vneg, vsub
+from .root_weyl import Vec, intify, pair, vneg, vsub, weyl_of
 from .spherical import SphericalDatum, _lfun_series, extended_cone_spec
 
 __all__ = [
@@ -44,17 +43,9 @@ class LiDatum:
     psi: tuple[tuple[Vec, int], ...]  # distinct vector, multiplicity
     det_functional: tuple[Fraction, ...]
     rho_b: tuple[Fraction, ...]
-    weyl: WeylGroup
+    signed_shifts: tuple[tuple[Vec, int], ...]  # (rho_b - w rho_b, sign of w) over W
     psi_witness: tuple[int, ...]
     _partition_cache: dict[tuple[int, Vec], dict[int, int]] = field(default_factory=dict)
-
-    @cached_property
-    def _signed_shifts(self) -> list[tuple[Vec, int]]:
-        """(rho_b - w rho_b, sign of w) for each w, as li_coefficient sums them."""
-        return [
-            (intify(vsub(self.rho_b, mat_apply(mat, self.rho_b))), self.weyl.sign(i))
-            for i, (mat, _) in enumerate(self.weyl)
-        ]
 
 
 def li_datum(datum: SphericalDatum, rho) -> LiDatum:
@@ -74,7 +65,8 @@ def li_datum(datum: SphericalDatum, rho) -> LiDatum:
     det = functional_with_values(
         list(coroots) + [rho], [0] * len(coroots) + [1], datum.rank
     )
-    weights = lowest_weight_rep(datum.dual_datum(), rho)
+    dual = datum.dual_datum()
+    weights = lowest_weight_rep(dual, rho)
     psi: dict[Vec, int] = {}
     for c in coroots:
         psi[c] = psi.get(c, 0) + 1
@@ -82,12 +74,15 @@ def li_datum(datum: SphericalDatum, rho) -> LiDatum:
         psi[nu] = psi.get(nu, 0) + m
     members = tuple(sorted(psi))
     witness = find_witness(members, datum.rank)
+    rho_b = dual.rho_check()
     return LiDatum(
         rank=datum.rank,
         psi=tuple((v, psi[v]) for v in members),
         det_functional=det,
-        rho_b=datum.dual_datum().rho_check(),
-        weyl=datum.weyl(),
+        rho_b=rho_b,
+        signed_shifts=tuple(
+            (intify(vsub(rho_b, v)), (-1) ** length) for v, length in weyl_of(dual)
+        ),
         psi_witness=witness,
     )
 
@@ -148,7 +143,7 @@ def li_coefficient(d: LiDatum, mu) -> QLaurent:
     if dm < 0:
         return QLaurent()
     total = QLaurent()
-    for shift, sign in d._signed_shifts:
+    for shift, sign in d.signed_shifts:
         p = li_partition(d, vsub(shift, mu))
         if not p.is_zero():
             total = total + sign * p.invert_q()

@@ -22,14 +22,14 @@ from .root_weyl import (
     ReflectionDatum,
     RootDatum,
     Vec,
+    _not_finite_weyl,
+    enumerate_weyl,
     intify,
-    mat_apply,
     pair,
     reflect,
     vadd,
     vscale,
     vsub,
-    weyl_of,
 )
 
 __all__ = ["lowest_weight_rep", "weyl_denominator", "weyl_dimension"]
@@ -42,9 +42,13 @@ WeightMultiset = dict[Vec, int]
 def _longest_word(rd: RootDatum) -> list[ReflectionDatum]:
     """A reduced word of w0: the simple reflections that walk rho_check
     to the antidominant chamber, one positive root per step.
+
+    rho_check must be strictly dominant, as it is on a positive system.
     """
     simples = rd.simples()
     v = rd.rho_check()
+    if any(pair(d.root, v) <= 0 for d in rd.positive):
+        raise _not_finite_weyl(rd)
     word: list[ReflectionDatum] = []
     while len(word) < len(rd.positive):
         step = next((d for d in simples if pair(d.root, v) > 0), None)
@@ -53,10 +57,7 @@ def _longest_word(rd: RootDatum) -> list[ReflectionDatum]:
         word.append(step)
         v = reflect(step, v)
     if len(word) < len(rd.positive) or any(pair(d.root, v) > 0 for d in simples):
-        raise MathError(
-            f"the {len(rd.positive)} positive roots are not the positive system"
-            " of a finite Weyl group"
-        )
+        raise _not_finite_weyl(rd)
     return word
 
 
@@ -107,17 +108,16 @@ def lowest_weight_rep(datum: RootDatum, lowest) -> WeightMultiset:
 def _alternant(datum: RootDatum, lam) -> GroupRing:
     """The alternating sum of e^(w(lam - rho) + rho) over the Weyl group.
 
-    By Weyl's character formula it is the character with lowest weight
-    lam times prod_{gamma > 0} (1 - e^gamma); at lam = 0 it is that
-    product alone.
+    The sum runs over the orbit of lam - rho, which is regular when lam
+    is antidominant.  By Weyl's character formula it is the character
+    with lowest weight lam times prod_{gamma > 0} (1 - e^gamma); at
+    lam = 0 it is that product alone.
     """
-    weyl = weyl_of(datum)
     rho = datum.rho_check()
-    shifted = vsub(lam, rho)
     out: GroupRing = {}
-    for i, (m, _) in enumerate(weyl):
-        key = intify(vadd(mat_apply(m, shifted), rho))
-        s = out.get(key, ZERO) + weyl.sign(i)
+    for v, length in enumerate_weyl(datum, vsub(lam, rho)):
+        key = intify(vadd(v, rho))
+        s = out.get(key, ZERO) + (-1) ** length
         if s.is_zero():
             out.pop(key, None)
         else:

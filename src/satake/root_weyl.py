@@ -3,10 +3,9 @@
 Lattice vectors are plain tuples of ints; root functionals are tuples
 of rationals paired against vectors coordinatewise.  A reflection is a
 (root, coroot) pair with pairing 2, acting by v - <root, v> coroot.
-Weyl groups are enumerated as explicit integer matrices by breadth
-first search over a reflection generating set, with a deterministic
-ordering: identity first, then layer by layer, each layer sorted
-lexicographically by matrix entries.
+A Weyl group is enumerated as the orbit of a regular vector under the
+simple reflections, by breadth first search: v first, then layer by
+layer, each layer sorted lexicographically.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from .errors import GroupTooLarge, MathError
 from .linalg import functional_with_values, rref
 
 Vec = tuple[int, ...]
-Matrix = tuple[tuple[int, ...], ...]
+Orbit = tuple[tuple[tuple, int], ...]  # (w v, l(w)) for each Weyl element w
 
 WEYL_CAP = 50000
 
@@ -29,10 +28,12 @@ def intify(v) -> Vec:
     """Convert exact rational entries to ints; error if any is not whole."""
     out = []
     for x in v:
-        f = Fraction(x)
-        if f.denominator != 1:
-            raise ValueError(f"not a lattice vector: {tuple(v)}")
-        out.append(int(f))
+        if type(x) is not int:
+            f = Fraction(x)
+            if f.denominator != 1:
+                raise ValueError(f"not a lattice vector: {tuple(v)}")
+            x = f.numerator
+        out.append(x)
     return tuple(out)
 
 
@@ -77,83 +78,6 @@ def reflect(datum: ReflectionDatum, v):
     """Apply the reflection v -> v - <root, v> coroot."""
     c = pair(datum.root, v)
     return tuple(x - c * y for x, y in zip(v, datum.coroot))
-
-
-def reflection_matrix(datum: ReflectionDatum) -> Matrix:
-    """The reflection as an integer matrix acting on column vectors."""
-    n = len(datum.coroot)
-    cols = []
-    for j in range(n):
-        e = [0] * n
-        e[j] = 1
-        cols.append(intify(reflect(datum, tuple(e))))
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
-def mat_apply(m: Matrix, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
-
-
-def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-@dataclass
-class WeylGroup:
-    """All elements of a finite reflection group with BFS word lengths."""
-
-    elements: tuple[Matrix, ...]
-    lengths: tuple[int, ...]
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(zip(self.elements, self.lengths))
-
-    def sign(self, i: int) -> int:
-        return -1 if self.lengths[i] % 2 else 1
-
-
-def enumerate_weyl(generators, cap: int = WEYL_CAP) -> WeylGroup:
-    """Enumerate the group generated by the given reflections.
-
-    Deterministic ordering: BFS layer first, then lexicographic matrix
-    order inside a layer.  Raises GroupTooLarge past the cap, which
-    also catches accidentally infinite data.
-    """
-    gens = [reflection_matrix(g) for g in generators]
-    if gens:
-        n = len(gens[0])
-    else:
-        raise ValueError("need at least one generator; rank is not inferable")
-    ident = identity_matrix(n)
-    seen: dict[Matrix, int] = {ident: 0}
-    order: list[Matrix] = [ident]
-    frontier = [ident]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = set()
-        for w in frontier:
-            for s in gens:
-                sw = mat_mul(s, w)
-                if sw not in seen:
-                    nxt.add(sw)
-        frontier = sorted(nxt)
-        for w in frontier:
-            seen[w] = depth
-            order.append(w)
-            if len(order) > cap:
-                raise GroupTooLarge(f"more than {cap} Weyl elements")
-    return WeylGroup(tuple(order), tuple(seen[w] for w in order))
 
 
 def is_antidominant(v, positive_roots) -> bool:
@@ -217,16 +141,71 @@ def _half_sum(vectors, rank: int) -> tuple[Fraction, ...]:
     return tuple(sum((Fraction(v[i]) for v in vectors), Fraction(0)) / 2 for i in range(rank))
 
 
-def weyl_of(datum: RootDatum, cap: int = WEYL_CAP) -> WeylGroup:
-    """The Weyl group of the datum, enumerated over simple reflections."""
-    return _weyl_group(datum, cap)
+def enumerate_weyl(datum: RootDatum, v, cap: int = WEYL_CAP) -> Orbit:
+    """The Weyl orbit of a regular vector v, each point with its word length.
+
+    v must pair strictly positively with every positive root, or strictly
+    negatively with every one.  W then acts simply transitively on the
+    orbit, so walking it by simple reflections lists W itself: one pair
+    (w v, l(w)) per element, ordered by BFS layer, then lexicographically.
+    In a finite Weyl group l(w0) = |positive roots|, so a deeper layer
+    raises MathError, as does a singular v; more than cap points raise
+    GroupTooLarge.
+    """
+    values = [pair(d.root, v) for d in datum.positive]
+    if not (all(x > 0 for x in values) or all(x < 0 for x in values)):
+        coords = ",".join(str(x) for x in v)
+        raise MathError(
+            f"{coords} is neither strictly dominant nor strictly antidominant"
+            f" for the {len(datum.positive)} positive roots"
+        )
+    gens = [
+        (tuple(a.numerator if a.denominator == 1 else a for a in d.root), d.coroot)
+        for d in datum.simples()
+    ]
+    # Walk the orbit of den * v, an integer vector, and scale back at the end.
+    den = math.lcm(*(Fraction(x).denominator for x in v))
+    start = tuple(int(x * den) for x in v)
+    orbit = [(start, 0)]
+    seen = {start}
+    frontier = [start]
+    depth = 0
+    while frontier:
+        depth += 1
+        layer = set()
+        for u in frontier:
+            for alpha, gamma in gens:
+                c = sum(a * x for a, x in zip(alpha, u))
+                su = tuple(x - c * g for x, g in zip(u, gamma))
+                if su not in seen:
+                    layer.add(su)
+        if layer and depth > len(datum.positive):
+            raise _not_finite_weyl(datum)
+        frontier = sorted(layer)
+        seen.update(frontier)
+        orbit += [(u, depth) for u in frontier]
+        if len(orbit) > cap:
+            raise GroupTooLarge(f"more than {cap} Weyl elements")
+    if den == 1:
+        return tuple(orbit)
+    return tuple((tuple(Fraction(x, den) for x in u), length) for u, length in orbit)
+
+
+def _not_finite_weyl(datum: RootDatum) -> MathError:
+    return MathError(
+        f"the {len(datum.positive)} positive roots are not the positive system"
+        " of a finite Weyl group"
+    )
+
+
+def weyl_of(datum: RootDatum) -> Orbit:
+    """The Weyl group of the datum as the orbit of rho_check: (w rho_check, l(w)) pairs."""
+    return _weyl_group(datum)
 
 
 @functools.cache
-def _weyl_group(datum: RootDatum, cap: int) -> WeylGroup:
-    if not datum.positive:
-        return WeylGroup((identity_matrix(datum.rank),), (0,))
-    return enumerate_weyl(datum.simples(), cap)
+def _weyl_group(datum: RootDatum) -> Orbit:
+    return enumerate_weyl(datum, datum.rho_check())
 
 
 def dominant_image(datum: RootDatum, v):
@@ -242,10 +221,7 @@ def dominant_image(datum: RootDatum, v):
         if step is None:
             return cur
         cur = reflect(step, cur)
-    raise MathError(
-        f"the {len(datum.positive)} positive roots are not the positive system"
-        " of a finite Weyl group"
-    )
+    raise _not_finite_weyl(datum)
 
 
 def _root_perp_basis(datum: RootDatum) -> list[Vec]:

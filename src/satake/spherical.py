@@ -52,7 +52,6 @@ from .root_weyl import (
     ReflectionDatum,
     RootDatum,
     Vec,
-    WeylGroup,
     intify,
     pair,
     stock_datum,
@@ -118,9 +117,6 @@ class SphericalDatum:
 
     def dual_datum(self) -> RootDatum:
         return RootDatum(self.rank, self.positive)
-
-    def weyl(self) -> WeylGroup:
-        return weyl_of(self.dual_datum())
 
     def positive_roots(self):
         return tuple(d.root for d in self.positive)
@@ -450,5 +446,5 @@ def pairing(p, q, datum: SphericalDatum) -> QLaurent:
             kv = kernel.get(vsub(k1, k2))
             if kv is not None:
                 total = total + c1 * c2 * kv
-    return len(datum.weyl().elements) * total
+    return len(weyl_of(datum.dual_datum())) * total
 

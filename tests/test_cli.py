@@ -45,6 +45,18 @@ SIMPLE_ONLY_B2 = (
     "cone 0,2\n"
 )
 
+# b2 without the root e1: not closed under its reflections, and rho_check
+# = (1,1) is orthogonal to e1 - e2.
+B2_WITHOUT_E1 = (
+    "rank 2\n"
+    "reflection 1,-1 | 1,-1\n"
+    "reflection 0,1 | 0,2\n"
+    "reflection 1,1 | 1,1\n"
+    "rho_px 0,0\n"
+    "cone 1,-1\n"
+    "cone 0,2\n"
+)
+
 # Root 1/2 against coroot 4: the reflection is integral, the root is not.
 HALF_ROOT = "rank 1\nreflection 1/2 | 4\nrho_px 0\ncone 4\n"
 
@@ -308,9 +320,18 @@ def test_macdonald_on_a_half_integral_root(capsys, tmp_path, weight, code, expec
         (SIMPLE_ONLY_B2, ["verify", "--suite", "whittaker-schur"], 3, ""),
         (HALF_ROOT, ["char", "--lowest-weight=-1"], 3, ""),
         (HALF_ROOT, ["char", "--lowest-weight=-2"], 0, "-2\t1\n2\t1\n"),
+        (SIMPLE_ONLY_GL3, ["verify", "--suite", "denominator"], 3, ""),
+        (SIMPLE_ONLY_B2, ["verify", "--suite", "denominator"], 3, ""),
+        (HYPERBOLIC, ["verify", "--suite", "denominator"], 3, ""),
+        (B2_WITHOUT_E1, ["char", "--lowest-weight=-1,-1"], 3, ""),
+        (B2_WITHOUT_E1, ["macdonald", "--lowest-weight=-1,-1"], 3, ""),
+        (B2_WITHOUT_E1, ["verify", "--suite", "orthogonality"], 3, ""),
     ],
     ids=["gl3-simple-only-char", "gl3-simple-only-inverse-satake",
-         "b2-simple-only-whittaker-schur", "half-root-odd-char", "half-root-even-char"],
+         "b2-simple-only-whittaker-schur", "half-root-odd-char", "half-root-even-char",
+         "gl3-simple-only-denominator", "b2-simple-only-denominator",
+         "hyperbolic-denominator", "b2-without-e1-char", "b2-without-e1-macdonald",
+         "b2-without-e1-orthogonality"],
 )
 def test_invalid_data_give_typed_exits(capsys, tmp_path, text, argv, code, expected):
     path = tmp_path / "invalid.datum"

@@ -13,7 +13,6 @@ from satake import (
     LiDatum,
     QLaurent,
     ONE,
-    WeylGroup,
     li_coefficient,
     li_datum,
     li_equivalence_check,
@@ -22,7 +21,8 @@ from satake import (
     qmonomial,
 )
 from satake.errors import BadParameters, RhoInConeSpan
-from satake.root_weyl import Vec, identity_matrix, intify, mat_apply, pair, vneg, vsub
+from satake.root_weyl import Vec, intify, pair, vneg, vsub
+from weyl_matrices import mat_apply, matrix_weyl
 
 GL2 = preset("group", "gl2")
 GL3 = preset("group", "gl3")
@@ -88,7 +88,7 @@ def _bare_datum(psi, witness) -> LiDatum:
         psi=psi,
         det_functional=(Fraction(1),) * rank,
         rho_b=(Fraction(0),) * rank,
-        weyl=WeylGroup((identity_matrix(rank),), (0,)),
+        signed_shifts=(((0,) * rank, 1),),
         psi_witness=witness,
     )
 
@@ -238,10 +238,21 @@ def test_partition_matches_dfs_oracle(group, rho, bound):
     args = {
         vsub(intify(vsub(d.rho_b, mat_apply(mat, d.rho_b))), mu)
         for mu in lattice_points(extended_cone_spec(datum, rho), bound)
-        for mat, _ in d.weyl
+        for mat, _ in matrix_weyl(datum.dual_datum())
     }
     for arg in sorted(args):
         assert li_partition(d, arg) == _dfs_partition(d, arg), arg
+
+
+@pytest.mark.parametrize("group", ["gl2", "gl3", "gl4", "gl5"])
+def test_signed_shifts_match_matrix_oracle(group):
+    datum = preset("group", group)
+    d = li_datum(datum, (0,) * (datum.rank - 1) + (1,))
+    expected = [
+        (intify(vsub(d.rho_b, mat_apply(mat, d.rho_b))), (-1) ** length)
+        for mat, length in matrix_weyl(datum.dual_datum())
+    ]
+    assert sorted(d.signed_shifts) == sorted(expected)
 
 
 RANK = st.shared(st.integers(1, 3), key="rank")

@@ -27,12 +27,11 @@ from satake.root_weyl import (
     ReflectionDatum,
     dominant_image,
     intify,
-    mat_apply,
     pair,
     vadd,
     vsub,
-    weyl_of,
 )
+from weyl_matrices import mat_apply, matrix_weyl
 
 
 def denominator_product(datum):
@@ -114,15 +113,13 @@ def test_no_roots_datum():
 
 
 def test_weight_multiset_is_weyl_stable():
-    from satake.root_weyl import mat_apply, weyl_of
-
     for datum, lowest in [
         (gl_datum(3), (-1, 0, 1)),
         (b2_datum(), (-2, -1)),
         (gl_datum(2), (0, 3)),
     ]:
         got = lowest_weight_rep(datum, lowest)
-        for m, _ in weyl_of(datum):
+        for m, _ in matrix_weyl(datum):
             assert {tuple(mat_apply(m, k)): c for k, c in got.items()} == got
 
 
@@ -194,7 +191,7 @@ def test_weyl_dimension_rejects_invalid_data():
 def _invariant_form(datum: RootDatum) -> tuple[tuple[Fraction, ...], ...]:
     """A Weyl-invariant positive form: the group average of the dot product."""
     n = datum.rank
-    weyl = weyl_of(datum)
+    weyl = matrix_weyl(datum)
     gram = [[Fraction(0)] * n for _ in range(n)]
     for m, _ in weyl:
         for i in range(n):
@@ -230,7 +227,7 @@ def _freudenthal_rep(datum: RootDatum, lowest):
         raise NotAntidominant(f"{lowest} is not antidominant")
     if not datum.positive:
         return {lowest: 1}
-    weyl = weyl_of(datum)
+    weyl = matrix_weyl(datum)
     gram = _invariant_form(datum)
     simples = datum.simples()
     simple_coroots = [d.coroot for d in simples]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,15 +22,10 @@ from satake import (
     stock_datum,
     weyl_of,
 )
-from satake.errors import GroupTooLarge
-from satake.root_weyl import (
-    identity_matrix,
-    mat_apply,
-    mat_mul,
-    pair,
-    reflect,
-    reflection_matrix,
-)
+from satake.errors import GroupTooLarge, MathError
+from satake.rep_chars import _alternant
+from satake.root_weyl import intify, pair, reflect, vadd, vscale, vsub
+from weyl_matrices import brute_closure, mat_apply, matrix_weyl, reflection_matrix
 
 
 # -- reflections --------------------------------------------------------
@@ -68,22 +64,6 @@ def test_reflection_datum_validates_pairing():
 # -- Weyl groups --------------------------------------------------------
 
 
-def brute_closure(generators):
-    gens = [reflection_matrix(g) for g in generators]
-    n = len(gens[0])
-    seen = {identity_matrix(n)}
-    while True:
-        fresh = set()
-        for w in seen:
-            for s in gens:
-                sw = mat_mul(s, w)
-                if sw not in seen:
-                    fresh.add(sw)
-        if not fresh:
-            return seen
-        seen |= fresh
-
-
 @pytest.mark.parametrize(
     "datum,order,top_length",
     [
@@ -96,36 +76,110 @@ def brute_closure(generators):
     ],
 )
 def test_weyl_order_and_longest_element(datum, order, top_length):
-    w = weyl_of(datum)
-    assert len(w) == order
-    assert max(w.lengths) == top_length
-    assert w.lengths[0] == 0
+    lengths = [length for _, length in weyl_of(datum)]
+    assert len(lengths) == order
+    assert max(lengths) == top_length
+    assert lengths[0] == 0
 
 
 @pytest.mark.parametrize("datum", [gl_datum(3), gl_datum(4), b2_datum()])
 def test_weyl_matches_brute_closure(datum):
-    w = weyl_of(datum)
-    assert set(w.elements) == brute_closure(datum.simples())
+    rho = datum.rho_check()
+    closure = brute_closure(datum.simples())
+    assert {v for v, _ in weyl_of(datum)} == {mat_apply(m, rho) for m in closure}
+    assert len(weyl_of(datum)) == len(closure)
 
 
 def test_weyl_signs_follow_length_parity():
-    w = weyl_of(gl_datum(3))
-    for i, length in enumerate(w.lengths):
-        assert w.sign(i) == (-1) ** length
+    # the sign (-1)^l(w) is det w, and w is the matrix taking rho to w rho
+    rho = gl_datum(3).rho_check()
+    det = {mat_apply(m, rho): _det3(m) for m, _ in matrix_weyl(gl_datum(3))}
+    for v, length in weyl_of(gl_datum(3)):
+        assert det[v] == (-1) ** length
+
+
+def _det3(m) -> int:
+    return sum(
+        (-1) ** sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3))
+        * m[0][p[0]] * m[1][p[1]] * m[2][p[2]]
+        for p in itertools.permutations(range(3))
+    )
 
 
 def test_enumerate_weyl_cap():
+    datum = gl_datum(4)
     with pytest.raises(GroupTooLarge):
-        enumerate_weyl(gl_datum(4).simples(), cap=10)
+        enumerate_weyl(datum, datum.rho_check(), cap=10)
 
 
 def test_infinite_group_is_caught():
-    hyperbolic = [
+    # rho_check = (1/2, 1/2) is strictly antidominant here; the orbit's third
+    # layer is already deeper than the two positive roots allow.
+    hyperbolic = RootDatum(2, (
         ReflectionDatum((Fraction(2), Fraction(-3)), (1, 0)),
         ReflectionDatum((Fraction(-3), Fraction(2)), (0, 1)),
-    ]
-    with pytest.raises(GroupTooLarge):
-        enumerate_weyl(hyperbolic, cap=2000)
+    ))
+    with pytest.raises(MathError, match="finite Weyl group") as caught:
+        enumerate_weyl(hyperbolic, hyperbolic.rho_check())
+    assert caught.type is MathError
+
+
+def test_enumerate_weyl_rejects_a_singular_vector():
+    datum = b2_datum()
+    for v in [(1, 1), (0, 0), (1, -1), (2, 0)]:
+        with pytest.raises(MathError, match="strictly"):
+            enumerate_weyl(datum, v)
+    assert len(enumerate_weyl(datum, (-2, -1))) == 8
+
+
+def _moved_b2() -> RootDatum:
+    g, g_inv = ((2, 1), (1, 1)), ((1, -1), (-1, 2))
+
+    def functional(f):
+        return tuple(sum(f[i] * g_inv[i][j] for i in range(2)) for j in range(2))
+
+    return RootDatum(2, tuple(
+        ReflectionDatum(functional(d.root), mat_apply(g, d.coroot)) for d in b2_datum().positive
+    ))
+
+
+ORBIT_DATA = {
+    **{f"gl{n}": gl_datum(n) for n in range(1, 7)},
+    "sl2": sl2_datum(),
+    "adjoint-a1": adjoint_a1_datum(),
+    "b2": b2_datum(),
+    "b2-moved": _moved_b2(),
+    "rootless": RootDatum(2, ()),
+    "half-root": RootDatum(1, (ReflectionDatum((Fraction(1, 2),), (4,)),)),
+}
+
+
+def _matrix_alternant(datum, lam):
+    """sum_w sign(w) e^(w(lam - rho) + rho) over the matrix group, in doubled ints."""
+    two_rho = intify(vscale(2, datum.rho_check()))
+    doubled = vsub(vscale(2, lam), two_rho)
+    out = {}
+    for m, length in matrix_weyl(datum):
+        key = intify(vscale(Fraction(1, 2), vadd(mat_apply(m, doubled), two_rho)))
+        out[key] = out.get(key, 0) + (-1) ** length
+    return {k: c for k, c in out.items() if c}
+
+
+@pytest.mark.parametrize("datum", ORBIT_DATA.values(), ids=ORBIT_DATA.keys())
+def test_orbit_matches_matrix_oracle(datum):
+    orbit = weyl_of(datum)
+    group = matrix_weyl(datum)
+    rho = datum.rho_check()
+    assert len(orbit) == len(group)
+    assert sorted(length for _, length in orbit) == sorted(length for _, length in group)
+    assert dict(orbit) == {mat_apply(m, rho): length for m, length in group}
+    shifts = sorted((intify(vsub(rho, v)), (-1) ** length) for v, length in orbit)
+    assert shifts == sorted(
+        (intify(vsub(rho, mat_apply(m, rho))), (-1) ** length) for m, length in group
+    )
+    for lam in antidominant_weights(datum, 2):
+        got = {k: c.constant_value() for k, c in _alternant(datum, lam).items()}
+        assert got == _matrix_alternant(datum, lam), lam
 
 
 # -- datum structure ----------------------------------------------------
@@ -183,7 +237,7 @@ def test_dominant_image_gl2():
 def test_dominant_image_lands_in_orbit_and_cone():
     rng = random.Random(22)
     for datum in [gl_datum(3), b2_datum()]:
-        w = weyl_of(datum)
+        w = matrix_weyl(datum)
         for _ in range(25):
             v = tuple(rng.randint(-3, 3) for _ in range(datum.rank))
             img = dominant_image(datum, v)

@@ -35,7 +35,6 @@ from satake.errors import (
 from satake.root_weyl import (
     ReflectionDatum,
     intify,
-    mat_apply,
     pair,
     vadd,
     vneg,
@@ -46,6 +45,7 @@ from satake.spherical import (
     gr_add_term,
     gr_mul_binomial,
 )
+from weyl_matrices import mat_apply, matrix_weyl
 
 GL2 = preset("group", "gl2")
 GL3 = preset("group", "gl3")
@@ -150,7 +150,7 @@ def test_macdonald_dominant_index_rescales():
 def test_macdonald_weyl_invariance():
     for datum, lam in [(GL2, (-2, 1)), (GL3, (-1, 0, 2)), (SP4, (-1, 1))]:
         p = macdonald_p(datum, lam)
-        for m, _ in datum.weyl():
+        for m, _ in matrix_weyl(datum.dual_datum()):
             moved = {tuple(mat_apply(m, k)): c for k, c in p.terms.items()}
             assert moved == p.terms
 
@@ -181,7 +181,7 @@ def _full_weyl_p(datum, lam):
     for g in sorted(full):
         denominator = gr_mul_binomial(denominator, ONE, g)
     total = {}
-    for mat, _ in datum.weyl():
+    for mat, _ in matrix_weyl(datum.dual_datum()):
         summand = {intify(mat_apply(mat, lam)): ONE}
         for t, s, r in datum.theta_plus:
             summand = gr_mul_binomial(summand, s * qmonomial(-r), intify(mat_apply(mat, t)))
