@@ -32,7 +32,7 @@ from .datumfile import parse_datum
 from .errors import BadParameters, FormatError, MathError, NotAntidominant
 from .li_oracle import li_datum, li_equivalence_check
 from .qlaurent import ONE, QLaurent
-from .rep_chars import _alternant, lowest_weight_rep, weyl_denominator
+from .rep_chars import _alternant, _longest_word, lowest_weight_rep, weyl_denominator
 from .root_weyl import antidominant_weights, is_antidominant, pair
 from .spherical import (
     SphericalDatum,
@@ -141,6 +141,7 @@ def cmd_inverse_satake(cfg: JobConfig) -> int:
 
 
 def cmd_basic(cfg: JobConfig) -> int:
+    _longest_word(cfg.datum.dual_datum())  # MathError unless W is finite
     series = basic_asymptotics(cfg.datum, cfg.bound(6))
     if cfg.fmt == "records":
         lines = []

@@ -74,7 +74,7 @@ class ConeSpec:
         """Membership of v in the cone itself (not the translate)."""
         return in_cone(self.facets(), intify(v))
 
-    def degree(self, key) -> Fraction:
+    def degree(self, key) -> int:
         return pair(self.witness, vsub(key, self.base_point))
 
 
@@ -210,7 +210,7 @@ def geometric_inverse(coefficient: QLaurent, direction, spec: ConeSpec, bound: i
     terms: dict[Vec, QLaurent] = {}
     power = ONE
     key = (0,) * spec.rank
-    d = Fraction(0)
+    d = 0
     while d <= bound:
         terms[key] = power
         power = power * coefficient

@@ -177,8 +177,8 @@ def in_cone(facets, v) -> bool:
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    mat = [list(r) for r in rows]
+    """Reduced row echelon form over Fraction; returns (matrix, pivot column list)."""
+    mat = [[Fraction(x) for x in r] for r in rows]
     pivots: list[int] = []
     r = 0
     ncols = len(mat[0]) if mat else 0
@@ -211,7 +211,7 @@ def expand_in_basis(basis, v) -> tuple[Fraction, ...] | None:
     rank = len(v)
     if k == 0:
         return () if all(Fraction(x) == 0 for x in v) else None
-    rows = [[Fraction(basis[i][j]) for i in range(k)] + [Fraction(v[j])] for j in range(rank)]
+    rows = [[basis[i][j] for i in range(k)] + [v[j]] for j in range(rank)]
     mat, pivots = rref(rows)
     coeffs = [Fraction(0)] * k
     for rowi, c in enumerate(pivots):
@@ -232,10 +232,7 @@ def functional_with_values(vectors, values, rank: int) -> tuple[Fraction, ...]:
     Underdetermined systems are resolved by setting free coordinates to
     zero.  Raises MathError when the conditions are inconsistent.
     """
-    rows = [
-        [Fraction(vec[j]) for j in range(rank)] + [Fraction(val)]
-        for vec, val in zip(vectors, values)
-    ]
+    rows = [[vec[j] for j in range(rank)] + [val] for vec, val in zip(vectors, values)]
     if not rows:
         return tuple(Fraction(0) for _ in range(rank))
     mat, pivots = rref(rows)
@@ -245,5 +242,5 @@ def functional_with_values(vectors, values, rank: int) -> tuple[Fraction, ...]:
             raise MathError("inconsistent functional conditions")
         f[c] = mat[rowi][rank]
     for vec, val in zip(vectors, values):
-        assert sum(f[j] * Fraction(vec[j]) for j in range(rank)) == Fraction(val)
+        assert sum(f[j] * vec[j] for j in range(rank)) == val
     return tuple(f)

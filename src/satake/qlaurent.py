@@ -3,8 +3,10 @@
 Half-integral powers of the residue cardinality q occur throughout the
 transform formulas (normalized Hecke values carry q**(1/2) shifts), so
 coefficients live in Q[v, v**-1] with v**2 = q.  Exponents are stored on
-v as plain integers and coefficients are `fractions.Fraction`; nothing
-is ever rounded.
+v as plain integers.  Coefficients are int-first: the constructor stores
+a whole coefficient as a Python `int` and any other as a
+`fractions.Fraction`, and arithmetic on ints stays in ints.  Nothing is
+ever rounded, and floats are refused.
 
 The canonical printed form lists terms by ascending exponent and writes
 exponents as powers of q, halves included, e.g. ``q^-3/2 + 2 - q``.
@@ -26,36 +28,47 @@ __all__ = [
 ]
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def exact(x) -> int | Fraction:
+    """An int, Fraction or str as an int when whole, else as a Fraction.
+
+    Anything else, floats included, raises TypeError.
+    """
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
+        return int(x)
+    if not isinstance(x, (Fraction, str)):
+        raise TypeError(f"not an exact rational: {x!r}")
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class QLaurent:
     """Immutable Laurent polynomial in v (v**2 = q) over the rationals.
 
     The constructor takes a mapping from v-exponent to coefficient and
-    drops zero coefficients.  Arithmetic via the usual operators; ints
-    and Fractions coerce to constants.
+    drops zero coefficients; whole coefficients are stored as ints.
+    Arithmetic via the usual operators; ints and Fractions coerce to
+    constants.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        clean: dict[int, Fraction] = {}
+        clean: dict[int, int | Fraction] = {}
         if terms:
             for k, c in terms.items():
                 if not isinstance(k, int):
                     raise TypeError(f"v-exponent must be int, got {k!r}")
-                c = _as_fraction(c)
+                c = exact(c)
                 if c != 0:
                     clean[k] = c
         object.__setattr__(self, "_terms", clean)
+
+    @classmethod
+    def _raw(cls, terms: dict) -> "QLaurent":
+        # Arithmetic results: exact nonzero coefficients, nothing to check.
+        out = object.__new__(cls)
+        object.__setattr__(out, "_terms", terms)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("QLaurent is immutable")
@@ -63,7 +76,7 @@ class QLaurent:
     # -- inspection ----------------------------------------------------
 
     @property
-    def terms(self) -> dict[int, Fraction]:
+    def terms(self) -> dict[int, int | Fraction]:
         """Copy of the v-exponent to coefficient map."""
         return dict(self._terms)
 
@@ -73,10 +86,10 @@ class QLaurent:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def constant_value(self) -> Fraction:
-        """The value as a rational, if the element is a constant."""
+    def constant_value(self) -> int | Fraction:
+        """The value as an int or Fraction, if the element is a constant."""
         if not self._terms:
-            return Fraction(0)
+            return 0
         if set(self._terms) == {0}:
             return self._terms[0]
         raise ValueError(f"not a constant: {self.render()}")
@@ -88,7 +101,7 @@ class QLaurent:
         if isinstance(x, QLaurent):
             return x
         if isinstance(x, (int, Fraction)):
-            return QLaurent({0: Fraction(x)})
+            return QLaurent({0: x})
         return NotImplemented
 
     def __add__(self, other):
@@ -97,17 +110,17 @@ class QLaurent:
             return NotImplemented
         out = dict(self._terms)
         for k, c in other._terms.items():
-            s = out.get(k, Fraction(0)) + c
+            s = out.get(k, 0) + c
             if s:
                 out[k] = s
             else:
                 out.pop(k, None)
-        return QLaurent(out)
+        return QLaurent._raw(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QLaurent({k: -c for k, c in self._terms.items()})
+        return QLaurent._raw({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         other = QLaurent._coerce(other)
@@ -125,16 +138,16 @@ class QLaurent:
         other = QLaurent._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[int, Fraction] = {}
+        out: dict[int, int | Fraction] = {}
         for ka, ca in self._terms.items():
             for kb, cb in other._terms.items():
                 k = ka + kb
-                s = out.get(k, Fraction(0)) + ca * cb
+                s = out.get(k, 0) + ca * cb
                 if s:
                     out[k] = s
                 else:
                     out.pop(k, None)
-        return QLaurent(out)
+        return QLaurent._raw(out)
 
     __rmul__ = __mul__
 
@@ -148,7 +161,7 @@ class QLaurent:
 
     def invert_q(self) -> "QLaurent":
         """The involution q -> q**-1 (that is, v -> v**-1)."""
-        return QLaurent({-k: c for k, c in self._terms.items()})
+        return QLaurent._raw({-k: c for k, c in self._terms.items()})
 
     # -- equality ------------------------------------------------------
 
@@ -167,10 +180,9 @@ class QLaurent:
     @staticmethod
     def _power_string(k: int) -> str:
         # k is the v-exponent; print as a q-power, halves as fractions.
-        e = Fraction(k, 2)
-        if e == 1:
+        if k == 2:
             return "q"
-        return f"q^{e}"
+        return f"q^{k // 2}" if k % 2 == 0 else f"q^{k}/2"
 
     def render(self) -> str:
         if not self._terms:
@@ -204,7 +216,7 @@ def qmonomial(exponent) -> QLaurent:
     Accepts ints, Fractions and strings like "-3/2".  Anything with a
     denominator other than 1 or 2 is rejected.
     """
-    e = _as_fraction(exponent)
+    e = exact(exponent)
     if e.denominator not in (1, 2):
         raise ValueError(f"exponent must be a half-integer, got {e}")
     return QLaurent({int(2 * e): 1})

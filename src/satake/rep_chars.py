@@ -39,14 +39,20 @@ GroupRing = dict[Vec, QLaurent]
 WeightMultiset = dict[Vec, int]
 
 
+def _two_rho(rd: RootDatum) -> Vec:
+    """2 rho_check, the sum of the positive coroots: an integer vector."""
+    return intify(vscale(2, rd.rho_check()))
+
+
 def _longest_word(rd: RootDatum) -> list[ReflectionDatum]:
     """A reduced word of w0: the simple reflections that walk rho_check
     to the antidominant chamber, one positive root per step.
 
     rho_check must be strictly dominant, as it is on a positive system.
+    The walk runs on 2 rho_check, which has the same chambers and is integral.
     """
     simples = rd.simples()
-    v = rd.rho_check()
+    v = _two_rho(rd)
     if any(pair(d.root, v) <= 0 for d in rd.positive):
         raise _not_finite_weyl(rd)
     word: list[ReflectionDatum] = []
@@ -69,8 +75,7 @@ def _demazure(terms: GroupRing, simple: ReflectionDatum) -> GroupRing:
     <alpha, .> = 2 - m, and shares the string of e^k when m is an integer.
     Dividing by (1 - e^gamma) is a running sum up each string.
     """
-    alpha = tuple(a.numerator if a.denominator == 1 else a for a in simple.root)
-    gamma = simple.coroot
+    alpha, gamma = simple.root, simple.coroot
     strings: dict[Vec, dict[int, QLaurent]] = {}
     for k, c in terms.items():
         m = sum(a * x for a, x in zip(alpha, k))
@@ -113,10 +118,11 @@ def _alternant(datum: RootDatum, lam) -> GroupRing:
     with lowest weight lam times prod_{gamma > 0} (1 - e^gamma); at
     lam = 0 it is that product alone.
     """
-    rho = datum.rho_check()
+    # Walk the integer orbit of 2(lam - rho) and halve each point once.
+    two_rho = _two_rho(datum)
     out: GroupRing = {}
-    for v, length in enumerate_weyl(datum, vsub(lam, rho)):
-        key = intify(vadd(v, rho))
+    for v, length in enumerate_weyl(datum, tuple(2 * x - r for x, r in zip(lam, two_rho))):
+        key = tuple((x + r) // 2 for x, r in zip(v, two_rho))
         s = out.get(key, ZERO) + (-1) ** length
         if s.is_zero():
             out.pop(key, None)

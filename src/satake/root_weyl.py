@@ -1,11 +1,11 @@
 """Root data on a coweight lattice and finite Weyl group enumeration.
 
 Lattice vectors are plain tuples of ints; root functionals are tuples
-of rationals paired against vectors coordinatewise.  A reflection is a
-(root, coroot) pair with pairing 2, acting by v - <root, v> coroot.
-A Weyl group is enumerated as the orbit of a regular vector under the
-simple reflections, by breadth first search: v first, then layer by
-layer, each layer sorted lexicographically.
+of rationals (ints where whole) paired against vectors coordinatewise.
+A reflection is a (root, coroot) pair with pairing 2, acting by
+v - <root, v> coroot.  A Weyl group is enumerated as the orbit of a
+regular vector under the simple reflections, by breadth first search:
+v first, then layer by layer, each layer sorted lexicographically.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .errors import GroupTooLarge, MathError
 from .linalg import functional_with_values, rref
+from .qlaurent import exact
 
 Vec = tuple[int, ...]
 Orbit = tuple[tuple[tuple, int], ...]  # (w v, l(w)) for each Weyl element w
@@ -53,20 +54,20 @@ def vscale(c, a):
     return tuple(c * x for x in a)
 
 
-def pair(functional, v) -> Fraction:
-    """Evaluate a functional on a vector, exactly."""
-    return sum((Fraction(f) * x for f, x in zip(functional, v)), Fraction(0))
+def pair(functional, v) -> int | Fraction:
+    """Evaluate a functional on a vector exactly; int entries give an int."""
+    return sum(f * x for f, x in zip(functional, v))
 
 
 @dataclass(frozen=True)
 class ReflectionDatum:
     """A root functional together with its coroot vector."""
 
-    root: tuple[Fraction, ...]
+    root: tuple[int | Fraction, ...]
     coroot: Vec
 
     def __post_init__(self):
-        object.__setattr__(self, "root", tuple(Fraction(x) for x in self.root))
+        object.__setattr__(self, "root", tuple(exact(x) for x in self.root))
         object.__setattr__(self, "coroot", intify(self.coroot))
         if pair(self.root, self.coroot) != 2:
             raise ValueError(
@@ -123,11 +124,11 @@ class RootDatum:
                 out.append(d)
         return tuple(out)
 
-    def rho_check(self) -> tuple[Fraction, ...]:
+    def rho_check(self) -> tuple[int | Fraction, ...]:
         """Half the sum of the positive coroots (entries may be halves)."""
         return _half_sum(self.positive_coroots(), self.rank)
 
-    def rho_roots(self) -> tuple[Fraction, ...]:
+    def rho_roots(self) -> tuple[int | Fraction, ...]:
         """Half the sum of the positive root functionals."""
         return _half_sum(self.positive_roots(), self.rank)
 
@@ -137,8 +138,8 @@ class RootDatum:
         return functional_with_values(simples, [1] * len(simples), self.rank)
 
 
-def _half_sum(vectors, rank: int) -> tuple[Fraction, ...]:
-    return tuple(sum((Fraction(v[i]) for v in vectors), Fraction(0)) / 2 for i in range(rank))
+def _half_sum(vectors, rank: int) -> tuple[int | Fraction, ...]:
+    return tuple(exact(Fraction(sum(v[i] for v in vectors), 2)) for i in range(rank))
 
 
 def enumerate_weyl(datum: RootDatum, v, cap: int = WEYL_CAP) -> Orbit:
@@ -159,10 +160,7 @@ def enumerate_weyl(datum: RootDatum, v, cap: int = WEYL_CAP) -> Orbit:
             f"{coords} is neither strictly dominant nor strictly antidominant"
             f" for the {len(datum.positive)} positive roots"
         )
-    gens = [
-        (tuple(a.numerator if a.denominator == 1 else a for a in d.root), d.coroot)
-        for d in datum.simples()
-    ]
+    gens = [(d.root, d.coroot) for d in datum.simples()]
     # Walk the orbit of den * v, an integer vector, and scale back at the end.
     den = math.lcm(*(Fraction(x).denominator for x in v))
     start = tuple(int(x * den) for x in v)

@@ -326,12 +326,17 @@ def test_macdonald_on_a_half_integral_root(capsys, tmp_path, weight, code, expec
         (B2_WITHOUT_E1, ["char", "--lowest-weight=-1,-1"], 3, ""),
         (B2_WITHOUT_E1, ["macdonald", "--lowest-weight=-1,-1"], 3, ""),
         (B2_WITHOUT_E1, ["verify", "--suite", "orthogonality"], 3, ""),
+        (HYPERBOLIC, ["basic", "--truncate", "3"], 3, ""),
+        (SIMPLE_ONLY_GL3, ["basic", "--truncate", "3"], 3, ""),
+        (SIMPLE_ONLY_B2, ["basic", "--truncate", "3"], 3, ""),
+        (B2_WITHOUT_E1, ["basic", "--truncate", "3"], 3, ""),
     ],
     ids=["gl3-simple-only-char", "gl3-simple-only-inverse-satake",
          "b2-simple-only-whittaker-schur", "half-root-odd-char", "half-root-even-char",
          "gl3-simple-only-denominator", "b2-simple-only-denominator",
          "hyperbolic-denominator", "b2-without-e1-char", "b2-without-e1-macdonald",
-         "b2-without-e1-orthogonality"],
+         "b2-without-e1-orthogonality", "hyperbolic-basic", "gl3-simple-only-basic",
+         "b2-simple-only-basic", "b2-without-e1-basic"],
 )
 def test_invalid_data_give_typed_exits(capsys, tmp_path, text, argv, code, expected):
     path = tmp_path / "invalid.datum"

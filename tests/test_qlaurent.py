@@ -6,8 +6,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from satake import ONE, ZERO, QLaurent, parse_qlaurent, qmonomial
+from satake import (
+    ONE,
+    ZERO,
+    QLaurent,
+    basic_asymptotics,
+    inverse_satake_lfun,
+    macdonald_p,
+    parse_qlaurent,
+    preset,
+    qmonomial,
+)
 from satake.errors import FormatError
 
 
@@ -113,6 +124,78 @@ def test_ring_axioms_seeded_random():
         assert a * ONE == a
         assert a - a == ZERO
         assert a + (-a) == ZERO
+
+
+# Coefficients mix plain ints with Fractions, whole ones among them.
+COEFFS = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=4),
+)
+TERMS = st.dictionaries(st.integers(-6, 6), COEFFS, max_size=5)
+
+
+def _ref(terms) -> dict[int, Fraction]:
+    return {k: Fraction(c) for k, c in terms.items() if c != 0}
+
+
+def _ref_add(a, b) -> dict[int, Fraction]:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, Fraction(0)) + c
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def _ref_mul(a, b) -> dict[int, Fraction]:
+    out: dict[int, Fraction] = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            out[ka + kb] = out.get(ka + kb, Fraction(0)) + ca * cb
+    return {k: c for k, c in out.items() if c != 0}
+
+
+@settings(max_examples=200, deadline=None)
+@given(TERMS, TERMS, TERMS)
+def test_ring_axioms_mixed_int_and_fraction(ta, tb, tc):
+    a, b, c = QLaurent(ta), QLaurent(tb), QLaurent(tc)
+    ra, rb = _ref(ta), _ref(tb)
+    assert (a + b).terms == _ref_add(ra, rb)
+    assert (a * b).terms == _ref_mul(ra, rb)
+    assert (a - b).terms == _ref_add(ra, {k: -x for k, x in rb.items()})
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a - a == ZERO
+    assert a.invert_q().invert_q() == a
+    assert a.invert_q().terms == {-k: x for k, x in ra.items()}
+
+
+def test_whole_fraction_is_stored_as_int():
+    p = QLaurent({0: Fraction(4, 2), 2: Fraction(-6, 3), 1: "3/1"})
+    q = QLaurent({0: 2, 2: -2, 1: 3})
+    assert p == q and hash(p) == hash(q) and p.render() == q.render()
+    assert all(type(c) is int for c in p.terms.values())
+    assert type(QLaurent({0: Fraction(1, 2)}).terms[0]) is Fraction
+    assert type(QLaurent({0: Fraction(4, 2)}).constant_value()) is int
+    assert type(ZERO.constant_value()) is int
+    with pytest.raises(TypeError):
+        QLaurent({0: 0.5})
+    with pytest.raises(TypeError):
+        QLaurent({0: 2.0})
+
+
+def _coefficient_types(values) -> set[type]:
+    return {type(c) for q in values for c in q.terms.values()}
+
+
+def test_whole_results_keep_int_coefficients():
+    # Every coefficient on these presets is whole, so none may be a Fraction.
+    table = inverse_satake_lfun(preset("group", "gl3"), (0, 0, 1), 6)
+    assert table.rows
+    assert _coefficient_types(q for row in table.rows for q in row[1:]) == {int}
+    series = basic_asymptotics(preset("sp2n_gl2n", 2), 6)
+    assert _coefficient_types(series.terms.values()) == {int}
+    poly = macdonald_p(preset("group", "b2"), (-1, -1))
+    assert _coefficient_types(poly.terms.values()) == {int}
 
 
 def test_integer_and_fraction_operands():

@@ -23,6 +23,7 @@ from satake import (
     weyl_of,
 )
 from satake.errors import GroupTooLarge, MathError
+from satake.linalg import expand_in_basis, functional_with_values, rref
 from satake.rep_chars import _alternant
 from satake.root_weyl import intify, pair, reflect, vadd, vscale, vsub
 from weyl_matrices import brute_closure, mat_apply, matrix_weyl, reflection_matrix
@@ -59,6 +60,20 @@ def test_reflection_matrix_agrees_with_reflect():
 def test_reflection_datum_validates_pairing():
     with pytest.raises(ValueError):
         ReflectionDatum((Fraction(1), Fraction(0)), (1, -1))
+
+
+def test_whole_root_entries_are_ints():
+    for datum in [gl_datum(3), b2_datum(), sl2_datum(), adjoint_a1_datum()]:
+        for d in datum.positive:
+            assert all(type(a) is int for a in d.root)
+            assert type(pair(d.root, d.coroot)) is int
+    moved = ReflectionDatum((Fraction(2, 2), "-1"), (1, -1))
+    assert moved.root == (1, -1) and all(type(a) is int for a in moved.root)
+    half = ReflectionDatum((Fraction(1, 2),), (4,))
+    assert type(half.root[0]) is Fraction
+    assert pair(half.root, (3,)) == Fraction(3, 2)
+    with pytest.raises(TypeError):
+        ReflectionDatum((0.5,), (4,))
 
 
 # -- Weyl groups --------------------------------------------------------
@@ -289,3 +304,19 @@ def test_antidominant_weights_central_directions():
     ws = antidominant_weights(gl_datum(2), 1)
     assert (1, 1) in ws and (-1, -1) in ws and (-1, 0) in ws and (0, 0) in ws
     assert len(ws) == 4
+
+
+def test_linalg_and_weights_never_return_a_float_on_int_rows():
+    # int / int is a float in Python; every entry point must stay exact.
+    mat, pivots = rref([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    assert pivots == [0, 1, 2]
+    assert all(type(x) is Fraction for row in mat for x in row)
+    coeffs = expand_in_basis([(2, 1), (1, 3)], (1, 1))
+    assert coeffs == (Fraction(2, 5), Fraction(1, 5))
+    assert all(type(x) is Fraction for x in coeffs)
+    f = functional_with_values([(2, 1), (1, 3)], [1, 0], 2)
+    assert f == (Fraction(3, 5), Fraction(-1, 5))
+    assert all(type(x) is Fraction for x in f)
+    for datum in [gl_datum(3), b2_datum(), sl2_datum(), adjoint_a1_datum()]:
+        for w in antidominant_weights(datum, 2):
+            assert all(type(x) is int for x in w)
